@@ -123,17 +123,12 @@ RunResult run_scale_point(const BenchOptions& options, std::size_t nodes,
 /// One sharded-sweep point.  shards == 1 goes through run_one and thus the
 /// classic sequential engine — the bit-identical baseline the determinism
 /// contract pins — while shards > 1 runs the conservative-PDES fabric.
-/// `async` switches the engine to asynchronous null-message sync ("-async"
-/// label suffix): the same hashes and lbts_rounds by construction, so the
-/// JSON twin rows are a pure synchronization-cost comparison.
 RunResult run_sharded_point(const BenchOptions& options, std::size_t nodes,
-                            std::size_t radix, std::size_t shards,
-                            bool async) {
+                            std::size_t radix, std::size_t shards) {
   RunSpec spec;
   spec.experiment = Experiment::kGmMulticast;
   spec.label = "pshard-" + std::to_string(nodes) + "x" + std::to_string(radix) +
-               "-s" + std::to_string(shards) + (async ? "-async" : "");
-  spec.async_sync = async;
+               "-s" + std::to_string(shards);
   spec.nodes = nodes;
   spec.wiring = Wiring::kClos;
   spec.switch_radix = radix;
@@ -174,41 +169,36 @@ void run_sharded_sweep(const BenchOptions& options,
   struct Point {
     std::size_t nodes;
     std::size_t shards;
-    bool async;
   };
   // shards == 1 points are the classic-engine baselines.  65536 keeps no
   // classic baseline: it dates from the 16-bit NodeId days (the coroutine
   // stack topped out one node short), and re-baselining now would redate
   // every recorded comparison — the widened id is covered by the multisend
-  // family sweep below instead.  The "-async" twins rerun the same seeded
-  // scenario under null-message sync (identical hashes and rounds; the
-  // blocked_waits column is the synchronization-stall report).
+  // family sweep below instead.  The blocked_waits column is the
+  // synchronization-stall report.
   const std::vector<Point> points{
-      {512, 1, false},   {512, 4, false}, {512, 4, true},  // CI-pinned trio
-      {4096, 1, false},  {4096, 4, false},
-      {16384, 1, false}, {16384, 2, false}, {16384, 4, false},
-      {16384, 4, true},                                    // the ISSUE fabric
-      {16384, 8, false},
-      {32768, 1, false}, {32768, 4, false},
-      {65536, 2, false}, {65536, 4, false}, {65536, 4, true}, {65536, 8, false},
+      {512, 1},   {512, 4},  // CI-pinned pair
+      {4096, 1},  {4096, 4},
+      {16384, 1}, {16384, 2}, {16384, 4}, {16384, 8},
+      {32768, 1}, {32768, 4},
+      {65536, 2}, {65536, 4}, {65536, 8},
   };
 
   std::printf("\n%22s | %10s | %9s | %12s | %11s | %9s | %9s\n",
               "sharded point", "events", "wall ms", "events/s", "x-shard msg",
               "lbts rnds", "blk waits");
   std::size_t skipped = 0;
-  for (const auto& [nodes, shards, async] : points) {
+  for (const auto& [nodes, shards] : points) {
     if (options.max_nodes != 0 && nodes > options.max_nodes) {
       ++skipped;
       continue;
     }
     const std::size_t effective = options.shards_or(shards);
-    const bool eff_async = options.async_or(async);
-    RunResult r = run_sharded_point(options, nodes, 16, effective, eff_async);
+    RunResult r = run_sharded_point(options, nodes, 16, effective);
     std::printf(
-        "%11zux16-s%zu%-6s | %10.0f | %9.1f | %12.0f | %11llu | %9llu | %9llu\n",
-        nodes, effective, eff_async ? "-async" : "", r.metric("events"),
-        r.metric("wall_ms"), r.metric("events_per_sec"),
+        "%11zux16-s%-6zu | %10.0f | %9.1f | %12.0f | %11llu | %9llu | %9llu\n",
+        nodes, effective, r.metric("events"), r.metric("wall_ms"),
+        r.metric("events_per_sec"),
         static_cast<unsigned long long>(r.engine.cross_shard_msgs),
         static_cast<unsigned long long>(r.engine.lbts_rounds),
         static_cast<unsigned long long>(r.engine.blocked_waits));
@@ -224,17 +214,15 @@ void run_sharded_sweep(const BenchOptions& options,
 /// multisend (Fig. 3's star, no forwarding) on the sharded fabric.
 /// shards == 1 dispatches to the classic gm::Cluster coroutine stack, the
 /// bit-identical baseline; `batch` additionally turns on the batched
-/// per-shard LBTS horizons, whose only observable is fewer barrier rounds
+/// per-shard LBTS horizons, whose only observable is fewer LBTS rounds
 /// ("-bh" label suffix; lbts_rounds in the JSON carries the before/after).
 RunResult run_multisend_point(const BenchOptions& options, std::size_t nodes,
                               std::size_t radix, std::size_t shards,
-                              bool batch, bool async) {
+                              bool batch) {
   RunSpec spec;
   spec.experiment = Experiment::kMultisend;
   spec.label = "msend-" + std::to_string(nodes) + "x" + std::to_string(radix) +
-               "-s" + std::to_string(shards) + (batch ? "-bh" : "") +
-               (async ? "-async" : "");
-  spec.async_sync = async;
+               "-s" + std::to_string(shards) + (batch ? "-bh" : "");
   spec.nodes = nodes;
   spec.destinations = nodes - 1;
   spec.wiring = Wiring::kClos;
@@ -274,44 +262,33 @@ void run_family_sweep(const BenchOptions& options,
     std::size_t nodes;
     std::size_t shards;
     bool batch;
-    bool async;
   };
   // The msend-512 s1/s4 pair is CI-pinned like the pshard pair.  16384 and
   // 65536 document the migrated family at fabric sizes the coroutine stack
   // reaches slowly (16384) or only since the 32-bit NodeId (65536); the
   // "-bh" twins rerun the same seeded scenario with batched horizons, so
-  // the lbts_rounds delta in the JSON is the LBTS-batching report, and the
-  // "-async" twins rerun it under null-message sync (same hashes and
-  // rounds; blocked_waits vs 3 * rounds * shards barrier rendezvous is the
-  // stall report).  "-bh-async" composes both at the ISSUE's 16384 fabric.
+  // the lbts_rounds delta in the JSON is the LBTS-batching report.
   const std::vector<Point> points{
-      {512, 1, false, false},  {512, 4, false, false},    // CI-pinned pair
-      {512, 4, false, true},                              // CI-pinned async
-      {16384, 1, false, false}, {16384, 4, false, false},
-      {16384, 4, false, true},  {16384, 4, true, false},
-      {16384, 4, true, true},
-      {65536, 4, false, false}, {65536, 4, false, true}, {65536, 4, true, false},
+      {512, 1, false},   {512, 4, false},  // CI-pinned pair
+      {16384, 1, false}, {16384, 4, false}, {16384, 4, true},
+      {65536, 4, false}, {65536, 4, true},
   };
 
   std::printf("\n%25s | %10s | %9s | %12s | %11s | %9s | %9s\n",
               "multisend point", "events", "wall ms", "events/s",
               "x-shard msg", "lbts rnds", "blk waits");
   std::size_t skipped = 0;
-  for (const auto& [nodes, shards, batch, async] : points) {
+  for (const auto& [nodes, shards, batch] : points) {
     if (options.max_nodes != 0 && nodes > options.max_nodes) {
       ++skipped;
       continue;
     }
     const std::size_t effective = options.shards_or(shards);
-    const bool eff_async = options.async_or(async);
-    RunResult r =
-        run_multisend_point(options, nodes, 16, effective, batch, eff_async);
+    RunResult r = run_multisend_point(options, nodes, 16, effective, batch);
     std::printf(
         "%12zux16-s%zu%-9s | %10.0f | %9.1f | %12.0f | %11llu | %9llu | %9llu\n",
-        nodes, effective,
-        (std::string(batch ? "-bh" : "") + (eff_async ? "-async" : ""))
-            .c_str(),
-        r.metric("events"), r.metric("wall_ms"), r.metric("events_per_sec"),
+        nodes, effective, batch ? "-bh" : "", r.metric("events"),
+        r.metric("wall_ms"), r.metric("events_per_sec"),
         static_cast<unsigned long long>(r.engine.cross_shard_msgs),
         static_cast<unsigned long long>(r.engine.lbts_rounds),
         static_cast<unsigned long long>(r.engine.blocked_waits));

@@ -45,10 +45,8 @@
 //                     "channel_spills": ..., "cross_links": ...,
 //                     "shard_order_hashes": ["<decimal string>", ...],
 //                     "shard_wheel_occupancy_peak": [...],
-//                     /* async-sync runs only (spec gains "sync":"async";
-//                        timing-dependent — informational, never gated): */
-//                     "null_msgs_sent": ..., "null_msgs_demanded": ...,
-//                     "eot_advances": ..., "blocked_waits": ... },
+//                     /* timing-dependent — informational, never gated: */
+//                     "blocked_waits": ... },
 //         "metrics": { "<name>": <number>, ... }
 //       }, ...
 //     ]
@@ -75,10 +73,6 @@ struct BenchOptions {
   /// gm_mcast scale sweeps).  0 = keep each bench point's own default, so
   /// existing BENCH_*.json documents are reproduced byte-identically.
   std::size_t shards = 0;
-  /// Opt sharded points into batched per-shard LBTS horizons (fewer
-  /// barrier rounds, same outcome; a different — but pinned — event-seq
-  /// lineage, so goldens record which mode produced them).
-  bool batch_horizons = false;
   /// --no-batch: disable the simulator's same-tick batched dispatch and
   /// pop events one at a time.  Executed order and event_order_hash are
   /// bit-identical either way; CI runs the microbench both ways to prove
@@ -88,17 +82,6 @@ struct BenchOptions {
   /// around each timed scenario (Linux perf_event_open; reads as zero
   /// off-Linux or when the kernel denies access).
   bool perf_counters = false;
-  /// --fast-path: force the NIC's uncontended-link replica fast path on
-  /// for every run (NicConfig::uncontended_fast_path).  A modelling
-  /// approximation with its own event lineage — never used for the
-  /// hash-pinned baselines, but soaked under ASan in CI.
-  bool fast_path = false;
-  /// --sync MODE: force every sharded point's synchronization mode
-  /// ("barrier" or "async"); empty keeps each point's own default so
-  /// recorded sweeps stay label-stable.  The async mode replays the
-  /// barrier round schedule exactly (same hashes, same lbts_rounds) —
-  /// CI's TSan job forces it across the capped sweep.
-  std::string sync;
   /// --only LABEL: run just the scenario/sweep point with this label.
   /// A profiling/debugging aid — a filtered JSON document is not a valid
   /// regression baseline (the checker fails on the missing labels).
@@ -113,13 +96,6 @@ struct BenchOptions {
   /// when given, otherwise the point's default).
   [[nodiscard]] std::size_t shards_or(std::size_t fallback) const {
     return shards > 0 ? shards : fallback;
-  }
-
-  /// The effective sync mode for one sharded sweep point: the --sync
-  /// override when given, otherwise the point's default.
-  [[nodiscard]] bool async_or(bool fallback) const {
-    if (sync.empty()) return fallback;
-    return sync == "async";
   }
 
   /// The effective iteration (or scenario/node) count: the --iters override

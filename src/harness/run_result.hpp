@@ -50,15 +50,14 @@ struct EngineCounters {
   // run used the sequential engine, so pre-existing JSON stays stable.
   std::uint64_t shard_count = 0;       // 0 = sequential engine
   std::uint64_t cross_shard_msgs = 0;  // timestamped inter-shard messages
-  std::uint64_t lbts_rounds = 0;       // barrier/LBTS synchronization rounds
+  std::uint64_t lbts_rounds = 0;       // LBTS synchronization rounds
   std::uint64_t horizon_stalls = 0;    // shard-rounds that ran zero events
   std::uint64_t channel_spills = 0;    // SPSC ring overflows to spill vector
   std::uint64_t cross_links = 0;       // topology links cut by the partition
-  // Async-sync counters (spec.async_sync runs; zero under the barrier).
-  std::uint64_t null_msgs_sent = 0;      // demand-answer null messages
-  std::uint64_t null_msgs_demanded = 0;  // receiver demand flags raised
-  std::uint64_t eot_advances = 0;        // inbound channel-clock advances
-  std::uint64_t blocked_waits = 0;       // waits that actually spun
+  // Always 0: the shard protocol sends no null messages.  Kept because
+  // the perfbench shard.null_msgs_sent column still reads it.
+  std::uint64_t null_msgs_sent = 0;
+  std::uint64_t blocked_waits = 0;     // sync waits that spun (timing-dep.)
   std::vector<std::uint64_t> shard_order_hashes;         // per-shard, in order
   std::vector<std::uint64_t> shard_wheel_occupancy_peak; // per-shard wheels
 };

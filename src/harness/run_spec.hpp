@@ -82,15 +82,9 @@ struct RunSpec {
   std::size_t shards = 1;
   /// Sharded runs only: advance each shard to its batched per-shard LBTS
   /// horizon instead of the global lbts + lookahead.  Same results and
-  /// protocol totals, fewer barrier rounds; event seq assignment differs,
+  /// protocol totals, fewer LBTS rounds; event seq assignment differs,
   /// so determinism goldens are pinned per mode.
   bool batch_horizons = false;
-  /// Sharded runs only: synchronize shards with asynchronous per-channel
-  /// null messages instead of the three-barrier LBTS round (the --sync
-  /// {barrier,async} axis).  Identical round schedule and identical
-  /// per-shard hash vectors as the barrier default — only the waiting
-  /// changes — so this axis never forks a golden lineage.
-  bool async_sync = false;
   /// Experiment-specific integer knob for kCustom runners (e.g. the number
   /// of competing unicasts in the forwarding-policy ablation).
   std::uint64_t aux = 0;

@@ -143,7 +143,6 @@ RunResult run_sharded(const RunSpec& spec) {
   options.loss_rate = spec.loss_rate;
   options.avg_skew_us = spec.avg_skew_us;
   options.batch_horizons = spec.batch_horizons;
-  options.async_sync = spec.async_sync;
   options.seed = spec.seed;
   options.nic = spec.nic;
 
@@ -181,9 +180,6 @@ RunResult run_sharded(const RunSpec& spec) {
   e.horizon_stalls = fr.horizon_stalls;
   e.channel_spills = fr.channel_spills;
   e.cross_links = fr.cross_links;
-  e.null_msgs_sent = fr.null_msgs_sent;
-  e.null_msgs_demanded = fr.null_msgs_demanded;
-  e.eot_advances = fr.eot_advances;
   e.blocked_waits = fr.blocked_waits;
   e.shard_order_hashes = fr.shard_order_hashes;
   e.shard_wheel_occupancy_peak = fr.shard_wheel_occupancy_peak;

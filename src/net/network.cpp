@@ -25,8 +25,7 @@ void Network::set_fault_injector(std::unique_ptr<FaultInjector> injector) {
   faults_ = std::move(injector);
 }
 
-Network::TxTiming Network::transmit(Packet packet,
-                                    sim::TimePoint not_before) {
+Network::TxTiming Network::transmit(Packet packet) {
   const NodeId src = packet.header.src;
   const NodeId dst = packet.header.dst;
   if (src >= sinks_.size() || dst >= sinks_.size()) {
@@ -43,7 +42,7 @@ Network::TxTiming Network::transmit(Packet packet,
       sim::transfer_time(wire_size, config_.bandwidth_mbps);
   const sim::Duration hop = config_.hop_latency;
 
-  sim::TimePoint inject = std::max(sim_.now(), not_before);
+  sim::TimePoint inject = sim_.now();
   if (wire_size > config_.small_packet_bypass_bytes) {
     // Earliest injection instant at which the packet head finds every link
     // on the path free when it arrives there (wormhole cut-through).

@@ -72,12 +72,11 @@ class Network {
     bool delivered = false;
   };
 
-  /// Injects `packet` at the current simulation time (or at `not_before`
-  /// when the caller pre-computed a future injection instant, as the NIC's
-  /// uncontended-link fast path does).  Chooses the earliest conflict-free
-  /// injection instant given current path occupancy, applies fault
-  /// injection, and schedules delivery to the destination sink.
-  TxTiming transmit(Packet packet, sim::TimePoint not_before = sim::TimePoint{0});
+  /// Injects `packet` at the current simulation time.  Chooses the
+  /// earliest conflict-free injection instant given current path
+  /// occupancy, applies fault injection, and schedules delivery to the
+  /// destination sink.
+  TxTiming transmit(Packet packet);
 
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   [[nodiscard]] const Topology& topology() const { return topology_; }

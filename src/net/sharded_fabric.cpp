@@ -55,11 +55,10 @@ ShardedFabric::ShardedFabric(Topology topology, FabricTree tree,
   engine_ = std::make_unique<sim::ShardedEngine>(
       partition_.shards, partition_.lookahead, options_.seed);
   engine_->enable_batched_horizons(options_.batch_horizons);
-  engine_->enable_async_sync(options_.async_sync);
-  // Hand the engine the partition's per-pair channel lookaheads (the async
-  // mode's EOT stride; post() enforces them as the send window).  With the
-  // model's uniform hop latency every entry equals the global floor, so
-  // this changes no schedule — it wires the derivation end to end.
+  // Hand the engine the partition's per-pair channel lookaheads (post()
+  // enforces them as the send window).  With the model's uniform hop
+  // latency every entry equals the global floor, so this changes no
+  // schedule — it wires the derivation end to end.
   for (std::size_t from = 0; from < partition_.shards; ++from) {
     for (std::size_t to = 0; to < partition_.shards; ++to) {
       if (from != to) {
@@ -654,9 +653,6 @@ FabricResult ShardedFabric::run() {
     out.cross_shard_msgs += ss.cross_shard_msgs_sent;
     out.horizon_stalls += ss.horizon_stalls;
     out.channel_spills += ss.channel_spills;
-    out.null_msgs_sent += ss.null_msgs_sent;
-    out.null_msgs_demanded += ss.null_msgs_demanded;
-    out.eot_advances += ss.eot_advances;
     out.blocked_waits += ss.blocked_waits;
   }
   return out;

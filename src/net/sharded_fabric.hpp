@@ -116,11 +116,6 @@ struct FabricOptions {
   /// Opt into the engine's batched per-shard horizons (fewer LBTS rounds;
   /// different event seq assignment, so goldens pin per mode).
   bool batch_horizons = false;
-  /// Opt into the engine's asynchronous null-message synchronization
-  /// (ShardedEngine::enable_async_sync).  Same round schedule and the
-  /// same per-shard hash vectors as the barrier default — only the
-  /// waiting changes — so the sync axis is never part of a golden key.
-  bool async_sync = false;
   std::uint64_t seed = 1;
   nic::NicConfig nic;
   NetworkConfig net;
@@ -156,11 +151,7 @@ struct FabricResult {
   std::uint64_t horizon_stalls = 0;
   std::uint64_t channel_spills = 0;
   std::uint64_t cross_links = 0;
-  // Async-sync counters, aggregated over shards (zero in barrier mode).
-  std::uint64_t null_msgs_sent = 0;
-  std::uint64_t null_msgs_demanded = 0;
-  std::uint64_t eot_advances = 0;
-  std::uint64_t blocked_waits = 0;
+  std::uint64_t blocked_waits = 0;  // timing-dependent, informational
   std::vector<std::uint64_t> shard_order_hashes;
   std::vector<std::uint64_t> shard_wheel_occupancy_peak;
   std::uint64_t merged_order_hash = 0;

@@ -337,8 +337,7 @@ class Nic final : public net::PacketSink {
                         Fragment fragment, std::uint32_t tag, OpHandle handle);
   /// Checks out a pooled descriptor for `packet` (counted in NicStats).
   DescriptorRef make_descriptor(net::Packet packet);
-  net::Network::TxTiming transmit(DescriptorRef descriptor,
-                                  sim::TimePoint not_before = sim::TimePoint{0});
+  net::Network::TxTiming transmit(DescriptorRef descriptor);
   net::Packet build_packet(const net::PacketHeader& header,
                            const MessageRef& message, Fragment fragment);
 

@@ -1,27 +1,50 @@
 // Sharded conservative-synchronization PDES engine.
 //
 // N independent Simulators (one timing wheel, RNG stream, and clock each)
-// advance in lockstep LBTS rounds on worker threads:
+// advance in LBTS rounds on worker threads.  Rounds are 1-based; round r
+// of every shard is:
 //
-//   1. drain   — each shard empties its inbound SPSC channels, sorts the
-//                messages by (when, src_shard, send_seq), and schedules
-//                them locally.  The sort makes local seq assignment — and
-//                therefore each shard's event_order_hash — independent of
-//                thread timing.
-//   2. reduce  — each shard publishes its earliest pending event time;
-//                after a barrier, worker 0 folds them into
-//                LBTS = min over shards, and the safe horizon is
-//                LBTS + lookahead.
-//   3. execute — each shard runs every event strictly BEFORE the horizon
+//   1. drain   — take, from each inbound SPSC channel, exactly the
+//                messages its producer posted during rounds < r; sort them
+//                by (when, src_shard, send_seq) and schedule them locally.
+//                The sort makes local seq assignment — and therefore each
+//                shard's event_order_hash — independent of thread timing.
+//   2. reduce  — publish the earliest pending event time m(r) and read
+//                every peer's m(r); each shard folds the identical
+//                m-vector into LBTS = min over shards and its safe horizon
+//                (LBTS + lookahead).
+//   3. execute — run every event strictly BEFORE the horizon
 //                (Simulator::run_before).  Cross-shard sends made while
 //                executing must carry `when >= sender_now + lookahead`,
 //                which post() enforces; combined with events never running
 //                before LBTS, every send lands at or past the horizon, so
 //                no shard can receive an event in its own past.
 //
-// The engine terminates when LBTS is +inf (every queue empty and no
-// message in flight — channels are always fully drained at a round start,
-// so emptiness of the queues implies emptiness of the system).
+// There are no barriers.  Every wait is a data-flow wait on the one peer
+// it depends on:
+//
+//   * Every shard store-releases its completed-round clock after the last
+//     push of each round.  Round r's drain of channel src → me waits for
+//     src's clock to read r - 1; the acquire read then covers every
+//     message of the batch.
+//   * Every cross-shard message is stamped with the sender's round.
+//     Stamps are monotone along a FIFO channel, so the drain stops at the
+//     first message from round >= r: that one and everything behind it
+//     belong to the next batch.
+//   * The reduce is a per-shard atomic (round, value) slot: each shard
+//     publishes m(r) and reads every peer's slot.  One slot suffices: a
+//     peer reaches its round r+1 publish only after its round r+1 drain,
+//     which waits on this shard's clock reaching r — stored only after
+//     this shard consumed every m(r) in its own reduce.
+//
+// Liveness: take any shard S at the least round r.  Every peer is at round
+// >= r, so every clock reads >= r - 1 and S's drain is certified.  Every
+// peer at round r passed the same drain, so it publishes m(r); a peer past
+// round r already did, and cannot have overwritten it (see above).  S
+// therefore finishes round r in finitely many steps.  Termination is
+// symmetric: every shard folds the same m-vector, so all observe
+// LBTS = kNever in the same round and exit together; a shard failure
+// trips an abort flag that every spin loop polls.
 //
 // Batched horizons (opt-in, enable_batched_horizons): instead of the one
 // global horizon LBTS + lookahead, the reduce derives a per-shard horizon
@@ -29,70 +52,28 @@
 //   H_i = min( min_{j != i} m_j + la,  min_all m_j + 2*la )
 //
 // where m_j is shard j's earliest pending event at the reduce.  Safety:
-// channels are empty at the reduce, so any event shard i could still
-// receive is produced by some shard executing a pending event.  A direct
-// send from j != i departs an event at t >= m_j and arrives >= m_j + la
-// >= min_{j != i} m_j + la.  Any relayed chain (including one that starts
-// at i itself) crosses >= 2 shard hops of >= la each from an event at
-// >= min_all, arriving >= min_all + 2*la.  Every H_i >= the classic
-// horizon, so each round executes at least as much work and wide fabrics
-// spend measurably fewer barrier rounds (`lbts_rounds`).  Event seq
-// assignment differs from the unbatched schedule, so per-shard hash
-// goldens are pinned per (scenario, batching mode); the pre-existing
-// mcast goldens all use the unbatched default.
-//
-// Asynchronous null-message mode (opt-in, enable_async_sync): the same
-// three-phase round structure — same drain batches, same reduce values,
-// same horizons, and therefore bit-identical per-shard hash vectors — but
-// the three std::barrier rendezvous per round are replaced with
-// Chandy–Misra–Bryant-style per-channel data-flow waits, so a shard only
-// stalls on peers it actually depends on:
-//
-//   * Every cross-shard message is stamped with the sender's round and a
-//     piggybacked EOT (earliest output time, sender_now + channel
-//     lookahead).  Round stamps are monotone along a FIFO channel, so a
-//     peeked message from a newer round certifies the drain batch in
-//     progress is fully popped.
-//   * Every shard store-releases its completed-round clock at each round
-//     boundary, after the round's last push.  In shared memory that clock
-//     is a continuously-available null message: an acquire read covering
-//     round - 1 certifies the drain batch with no message traffic, and it
-//     handles the dominant case of a producer blocked in its own next
-//     drain (clock already at round - 1, reduce slot not yet published).
-//   * A receiver still blocked after that raises the channel's demand
-//     flag; the producer answers — at its round boundaries and from
-//     inside its own spin loops, so mutually-blocked shards always unblock
-//     each other — with an explicit null message (empty action) stamped
-//     with its last completed round and a fresh EOT.
-//   * The reduce is a per-shard atomic (round, value) slot instead of a
-//     fold by worker 0: each shard publishes m_i(r) and reads every peer's
-//     slot, computing the identical LBTS and horizons locally.  A slot is
-//     released round-tagged, and cannot be overwritten while any reader
-//     still needs it: shard j only reaches its round r+1 publish after
-//     every peer certified completion of round r, which a peer does only
-//     after consuming m_j(r).
-//
-// Deadlock freedom: order shards by the round they are in; a least-round
-// shard's drain only needs peers' previous rounds, which they have all
-// completed, so each of those peers either answers its demand flag from a
-// spin loop (it is blocked itself), or reaches its next round boundary in
-// finitely many events and answers there.  Termination is symmetric: every
-// shard computes the same m-vector, so all observe LBTS = kNever at the
-// same round and exit together; shard failures trip an abort flag that
-// every spin loop polls.
+// the drain took every message sent before the round, so any event shard
+// i could still receive is produced by some shard executing a pending
+// event.  A direct send from j != i departs an event at t >= m_j and
+// arrives >= m_j + la >= min_{j != i} m_j + la.  Any relayed chain
+// (including one that starts at i itself) crosses >= 2 shard hops of
+// >= la each from an event at >= min_all, arriving >= min_all + 2*la.
+// Every H_i >= the classic horizon, so each round executes at least as
+// much work and wide fabrics spend measurably fewer rounds
+// (`lbts_rounds`).  Event seq assignment differs from the unbatched
+// schedule, so per-shard hash goldens are pinned per (scenario, batching
+// mode); the pre-existing mcast goldens all use the unbatched default.
 //
 // Determinism: with shard count fixed, the executed (when, seq) order of
 // every shard is a pure function of the initial events and seeds — the
-// drain sort removes the only interleaving-dependent input.  Across
-// different shard counts the per-shard hash vector changes (seq values are
-// assigned per queue); goldens therefore pin one vector per shard count.
-// The sync mode is deliberately NOT part of the golden key: barrier and
-// async runs replay the same round schedule and produce the same vectors.
+// drain takes a stamp-defined batch and sorts it, which removes the only
+// interleaving-dependent input.  Across different shard counts the
+// per-shard hash vector changes (seq values are assigned per queue);
+// goldens therefore pin one vector per shard count.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -124,11 +105,7 @@ class ShardedEngine {
     std::uint64_t cross_shard_msgs_received = 0;
     std::uint64_t horizon_stalls = 0;  // rounds this shard ran zero events
     std::uint64_t channel_spills = 0;  // sends that overflowed the ring
-    // Async-mode synchronization counters; all stay zero in barrier mode.
-    std::uint64_t null_msgs_sent = 0;      // demand answers this shard sent
-    std::uint64_t null_msgs_demanded = 0;  // demand flags this shard raised
-    std::uint64_t eot_advances = 0;        // inbound channel-clock advances
-    std::uint64_t blocked_waits = 0;       // waits that actually spun
+    std::uint64_t blocked_waits = 0;   // drain/reduce waits that spun
   };
 
   ShardedEngine(std::size_t shard_count, Duration lookahead,
@@ -165,20 +142,12 @@ class ShardedEngine {
   void enable_batched_horizons(bool on) { batched_horizons_ = on; }
   [[nodiscard]] bool batched_horizons() const { return batched_horizons_; }
 
-  /// Switches run() to the asynchronous null-message synchronization (see
-  /// the header comment).  Same round schedule, same per-shard hashes —
-  /// only the waiting changes, so this composes with either horizon mode.
-  /// Call before run().
-  void enable_async_sync(bool on) { async_sync_ = on; }
-  [[nodiscard]] bool async_sync() const { return async_sync_; }
-
-  /// Overrides the lookahead of the ordered channel from → to.  The async
-  /// mode stamps this channel's EOTs with it and post() enforces it as the
-  /// send window, so a pair of shards joined only by slow cut links can
-  /// promise more than the fabric-wide floor.  It must be >= the engine's
-  /// global lookahead: safe horizons are derived from the global minimum,
-  /// and a smaller per-channel value would let a send land inside a peer's
-  /// already-released horizon.  Call before run().
+  /// Overrides the lookahead of the ordered channel from → to.  post()
+  /// enforces it as the send window, so a pair of shards joined only by
+  /// slow cut links can promise more than the fabric-wide floor.  It must
+  /// be >= the engine's global lookahead: safe horizons are derived from
+  /// the global minimum, and a smaller per-channel value would let a send
+  /// land inside a peer's already-released horizon.  Call before run().
   void set_channel_lookahead(std::size_t from, std::size_t to, Duration la) {
     if (from >= shards_.size() || to >= shards_.size() || from == to) {
       throw std::out_of_range(
@@ -227,13 +196,8 @@ class ShardedEngine {
     msg.when = when;
     msg.seq = ch.send_seq++;
     msg.src = static_cast<std::uint32_t>(from);
-    // Round stamp + piggybacked EOT: the async drain uses the stamp to cut
-    // batch boundaries and the EOT to advance the receiver's channel
-    // clock.  Barrier mode never reads either (round stays 0 pre-run and
-    // during its worker loop), but stamping unconditionally keeps post()
-    // branch-free.
+    // The round stamp cuts the receiver's drain batches (0 before run()).
     msg.round = sender.round;
-    msg.eot = sender.sim.now() + ch.lookahead;
     msg.action = std::move(action);
     ++sender.stats.cross_shard_msgs_sent;
     // post() runs on shard `from`'s worker thread (the method contract
@@ -241,11 +205,6 @@ class ShardedEngine {
     RoleGuard produce(ch.ring.producer_role());
     if (!ch.ring.try_push(std::move(msg))) {
       ++sender.stats.channel_spills;
-      // Overflow hand-off is always mutex-guarded.  Only the async mode
-      // *needs* the lock (a producer may spill while the consumer drains;
-      // barrier mode orders the hand-off with the round barrier), but the
-      // spill path is rare by design and one locking discipline keeps the
-      // concurrency contract — and its static checking — unconditional.
       MutexLock lock(ch.spill_mu);
       ch.spill.push_back(std::move(msg));
     }
@@ -257,26 +216,14 @@ class ShardedEngine {
   void run() {
     const std::size_t n = shards_.size();
     errors_.assign(n, nullptr);
-    if (async_sync_) {
-      {
-        std::vector<std::jthread> workers;
-        workers.reserve(n - 1);
-        for (std::size_t i = 1; i < n; ++i) {
-          workers.emplace_back([this, i] { worker_loop_async(i); });
-        }
-        worker_loop_async(0);
-      }  // jthreads join here
-    } else {
-      std::barrier sync(static_cast<std::ptrdiff_t>(n));
-      {
-        std::vector<std::jthread> workers;
-        workers.reserve(n - 1);
-        for (std::size_t i = 1; i < n; ++i) {
-          workers.emplace_back([this, &sync, i] { worker_loop(sync, i); });
-        }
-        worker_loop(sync, 0);
-      }  // jthreads join here
-    }
+    {
+      std::vector<std::jthread> workers;
+      workers.reserve(n - 1);
+      for (std::size_t i = 1; i < n; ++i) {
+        workers.emplace_back([this, i] { worker_loop(i); });
+      }
+      worker_loop(0);
+    }  // jthreads join here
     for (std::size_t i = 0; i < n; ++i) {
       if (errors_[i]) std::rethrow_exception(errors_[i]);
     }
@@ -314,9 +261,6 @@ class ShardedEngine {
   }
 
  private:
-  /// "No null message requested" value of a channel's demand flag.
-  static constexpr std::uint64_t kNoDemand = ~std::uint64_t{0};
-
   /// The one lookahead guard (constructor, per-channel overrides): a
   /// non-positive lookahead collapses the safe horizon onto LBTS itself
   /// and conservative PDES cannot guarantee progress, so every lookahead
@@ -333,70 +277,44 @@ class ShardedEngine {
     TimePoint when{0};
     std::uint64_t seq = 0;   // per-channel send counter: the merge tiebreak
     std::uint32_t src = 0;
-    std::uint64_t round = 0;  // sender's round at post time (async batching)
-    TimePoint eot{0};         // earliest possible later send on this channel
-    EventQueue::Action action;  // empty ⇒ a pure-synchronization null
-
-    [[nodiscard]] bool is_null() const { return !action; }
+    std::uint64_t round = 0;  // sender's round at post time: the drain batch
+    EventQueue::Action action;
   };
 
   struct Channel {
     explicit Channel(Duration la) : lookahead(la) {}
     SpscChannel<CrossMsg> ring{1024};
     // Guards `spill`: a producer may overflow the ring while the consumer
-    // drains (async mode), so the hand-off vector is mutex-protected in
-    // both sync modes — rare path, uncontended in barrier mode.
+    // drains, so the hand-off vector is mutex-protected (rare path).
     Mutex spill_mu;
     std::vector<CrossMsg> spill NM_GUARDED_BY(spill_mu);  // ring overflow
     // Producer-owned monotone counter; writing it requires the ring's
     // producer role, which pins it to the single pushing thread.
     std::uint64_t send_seq NM_GUARDED_BY(ring.producer_role()){0};
-    Duration lookahead;              // per-channel send window / EOT stride
-    // Consumer-raised, producer-cleared: the round whose completion the
-    // blocked receiver wants certified with a null message.  Release on
-    // store / acquire on load so the producer's answer covers everything
-    // the consumer published before demanding.
-    std::atomic<std::uint64_t> demand{kNoDemand};
-    // Consumer-owned channel clock, advanced only while draining.
-    TimePoint eot NM_GUARDED_BY(ring.consumer_role()){0};
+    Duration lookahead;  // per-channel send window
   };
 
   struct Shard {
     explicit Shard(std::uint64_t seed) : sim(seed) {}
     Simulator sim;
     ShardStats stats;
-    // Written by the owning worker in the reduce phase, read by worker 0
-    // after the barrier — the barrier provides the happens-before edge.
-    TimePoint local_min{0};
-    // Barrier mode: written by worker 0 between barriers, read by the
-    // owning worker in the execute phase (same barrier edge).  Async mode:
-    // owner-only.
-    TimePoint horizon{0};
-    // --- async-mode state ---
     // Owner-written: the round in progress, stamped onto outbound messages.
     std::uint64_t round = 0;
     // The producer's clock: the last round whose sends are all pushed,
-    // store-released after the final push of that round.  Consumers read
-    // it (acquire) as drain evidence — in shared memory this published
-    // clock is a continuously-available null message, so the explicit
-    // demand-null path below only fires when the producer is strictly
-    // behind the round the consumer is draining.  Also the newest round a
-    // demand null from this shard may certify.
+    // store-released after the final push of that round.  Consumers
+    // wait on it (acquire) before draining.
     std::atomic<std::uint64_t> completed{0};
     // Single-slot reduce publication: value stored relaxed, round released
-    // after it, so an acquire of m_round >= r sees the round-r value and
-    // every channel push that preceded the publish.  One slot suffices —
-    // the shard cannot reach its round r+1 publish until every peer has
-    // certified round r complete, which a peer does only after consuming
-    // m(r) in its own reduce (see the header deadlock/overwrite argument).
+    // after it, so an acquire of m_round >= r sees the round-r value.  One
+    // slot suffices — see the header's overwrite argument.
     std::atomic<std::int64_t> m_value{0};
     std::atomic<std::uint64_t> m_round{0};
     alignas(64) char pad_[1]{};  // keep shard hot state off shared lines
   };
 
-  /// The reduce fold both sync modes share: LBTS plus the two smallest
-  /// contributions (min over j != i is then O(1) per shard: m2 when i
-  /// holds the minimum, m1 otherwise).
+  /// The reduce fold: LBTS plus the two smallest contributions (min over
+  /// j != i is then O(1) per shard: m2 when i holds the minimum, m1
+  /// otherwise).
   struct ReduceSummary {
     TimePoint lbts = kNever;
     TimePoint m1 = kNever, m2 = kNever;
@@ -420,8 +338,8 @@ class ShardedEngine {
   }
 
   /// Shard i's execute horizon for this round — a pure function of the
-  /// reduce summary, so the barrier fold (worker 0) and the async local
-  /// computation (every shard, same m-vector) agree bit-for-bit.
+  /// reduce summary, so every shard's local fold of the same m-vector
+  /// agrees bit-for-bit.
   [[nodiscard]] TimePoint horizon_for(std::size_t i,
                                       const ReduceSummary& r) const {
     if (!batched_horizons_) return r.lbts + lookahead_;
@@ -435,57 +353,52 @@ class ShardedEngine {
     return std::min(direct_bound, chain_bound);
   }
 
-  void worker_loop(std::barrier<>& sync, std::size_t me) {
+  /// One shard's round loop.  Each phase waits only on the peers it
+  /// depends on: a channel drain on that channel's producer, the reduce on
+  /// peers whose slot has not reached this round yet.
+  void worker_loop(std::size_t me) {
     Shard& my = *shards_[me];
+    const std::size_t n = shards_.size();
     std::vector<CrossMsg> pending;
-    std::vector<TimePoint> mins;
-    if (me == 0) mins.resize(shards_.size());
-    while (true) {
-      // ---- Phase 1: drain inbound channels, deterministic merge ----
+    std::vector<TimePoint> mins(n);
+    for (std::uint64_t round = 1;; ++round) {
+      my.round = round;
+      // ---- Phase 1: drain each channel once its producer finished ----
       pending.clear();
+      bool ok = true;  // false once a wait saw the abort flag
       try {
-        for (std::size_t src = 0; src < shards_.size(); ++src) {
-          if (src == me) continue;
-          Channel& ch = *channels_[src * shards_.size() + me];
-          // This worker is the single consumer of its inbound channels.
-          RoleGuard consume(ch.ring.consumer_role());
-          CrossMsg msg;
-          while (ch.ring.try_pop(msg)) pending.push_back(std::move(msg));
-          MutexLock lock(ch.spill_mu);
-          for (CrossMsg& spilled : ch.spill) {
-            pending.push_back(std::move(spilled));
-          }
-          ch.spill.clear();
+        for (std::size_t src = 0; src < n && ok; ++src) {
+          if (src != me) ok = drain_channel(src, me, round, pending);
         }
-        merge_and_schedule(me, pending);
+        if (ok) merge_and_schedule(me, pending);
       } catch (...) {
         fail(me);
       }
-      // ---- Phase 2: publish LBTS contribution ----
-      my.local_min =
+      if (!ok || abort_.load(std::memory_order_relaxed)) break;
+      // ---- Phase 2: slot-publish m(round); read every peer's m(round) ----
+      const TimePoint local_min =
           my.sim.pending_events() > 0 ? my.sim.next_event_time() : kNever;
-      sync.arrive_and_wait();
-      if (me == 0) {
-        for (std::size_t i = 0; i < shards_.size(); ++i) {
-          mins[i] = shards_[i]->local_min;
+      my.m_value.store(local_min.nanoseconds(), std::memory_order_relaxed);
+      my.m_round.store(round, std::memory_order_release);
+      for (std::size_t j = 0; j < n && ok; ++j) {
+        if (j == me) {
+          mins[j] = local_min;
+          continue;
         }
-        const ReduceSummary reduce = summarize(mins);
-        if (reduce.lbts == kNever ||
-            abort_.load(std::memory_order_relaxed)) {
-          // Relaxed store: the barrier below publishes it to every reader.
-          halt_.store(true, std::memory_order_relaxed);
-        } else {
-          for (std::size_t i = 0; i < shards_.size(); ++i) {
-            shards_[i]->horizon = horizon_for(i, reduce);
-          }
-          ++lbts_rounds_;
-        }
+        const Shard& peer = *shards_[j];
+        ok = wait_until(peer.m_round, round, my);
+        mins[j] = TimePoint{peer.m_value.load(std::memory_order_relaxed)};
       }
-      sync.arrive_and_wait();
-      if (halt_.load(std::memory_order_relaxed)) break;
+      if (!ok) break;
+      const ReduceSummary reduce = summarize(mins);
+      // Every shard folds the same m-vector: all observe the all-idle
+      // LBTS at the same round and exit together.
+      if (reduce.lbts == kNever) break;
+      if (me == 0) ++lbts_rounds_;
       // ---- Phase 3: execute strictly below the safe horizon ----
       try {
-        const std::size_t executed = my.sim.run_before(my.horizon);
+        const std::size_t executed =
+            my.sim.run_before(horizon_for(me, reduce));
         if (executed == 0 && my.sim.pending_events() > 0) {
           // This shard's earliest event sits exactly at or beyond the
           // horizon (the lookahead-edge case); it waits for the next round.
@@ -494,220 +407,73 @@ class ShardedEngine {
       } catch (...) {
         fail(me);
       }
-      sync.arrive_and_wait();
-    }
-  }
-
-  /// The async twin of worker_loop: identical round schedule, no barriers.
-  /// Phase waits are per-dependency — a channel drain blocks only until
-  /// that channel's batch is certified, the reduce blocks only on peers
-  /// whose slot has not reached this round yet.
-  void worker_loop_async(std::size_t me) {
-    Shard& my = *shards_[me];
-    const std::size_t n = shards_.size();
-    std::vector<CrossMsg> pending;
-    std::vector<TimePoint> mins(n);
-    for (std::uint64_t round = 1;; ++round) {
-      my.round = round;
-      // ---- Phase 1: drain, per channel, gated on round certification ----
-      pending.clear();
-      bool aborted = false;
-      try {
-        for (std::size_t src = 0; src < n; ++src) {
-          if (src == me) continue;
-          if (!drain_channel_async(src, me, round, pending)) {
-            aborted = true;
-            break;
-          }
-        }
-        if (!aborted) merge_and_schedule(me, pending);
-      } catch (...) {
-        fail(me);
-      }
-      if (aborted || abort_.load(std::memory_order_relaxed)) break;
-      // ---- Phase 2: slot-publish m(round); read every peer's m(round) ----
-      const TimePoint local_min =
-          my.sim.pending_events() > 0 ? my.sim.next_event_time() : kNever;
-      my.m_value.store(local_min.nanoseconds(), std::memory_order_relaxed);
-      my.m_round.store(round, std::memory_order_release);
-      for (std::size_t j = 0; j < n && !aborted; ++j) {
-        if (j == me) {
-          mins[j] = local_min;
-          continue;
-        }
-        Shard& peer = *shards_[j];
-        if (peer.m_round.load(std::memory_order_acquire) < round) {
-          ++my.stats.blocked_waits;
-          unsigned spins = 0;
-          while (peer.m_round.load(std::memory_order_acquire) < round) {
-            if (abort_.load(std::memory_order_relaxed)) {
-              aborted = true;
-              break;
-            }
-            answer_demands(me);
-            spin_relax(spins);
-          }
-        }
-        if (!aborted) {
-          mins[j] = TimePoint{peer.m_value.load(std::memory_order_relaxed)};
-        }
-      }
-      if (aborted) break;
-      const ReduceSummary reduce = summarize(mins);
-      // Every shard folds the same m-vector: all observe the all-idle
-      // LBTS at the same round and exit together.
-      if (reduce.lbts == kNever) break;
-      if (me == 0) ++lbts_rounds_;
-      my.horizon = horizon_for(me, reduce);
-      // ---- Phase 3: execute strictly below the safe horizon ----
-      try {
-        const std::size_t executed = my.sim.run_before(my.horizon);
-        if (executed == 0 && my.sim.pending_events() > 0) {
-          ++my.stats.horizon_stalls;
-        }
-      } catch (...) {
-        fail(me);
-      }
       // Round complete: every send of this round is pushed.  Release the
       // clock before re-entering the drain — blocked receivers certify off
-      // it directly, and any demand raised meanwhile is answered below.
+      // it.
       my.completed.store(round, std::memory_order_release);
-      answer_demands(me);
       if (abort_.load(std::memory_order_relaxed)) break;
     }
   }
 
-  /// Drains every message the producer sent during rounds < `round` from
-  /// channel src → me into `pending`.  Returns false only when the global
-  /// abort flag tripped while waiting.  Completion of the batch is
-  /// certified by (a) a peeked or spilled message from a newer round
-  /// (stamps are FIFO-monotone), (b) a null message stamped at or past
-  /// round - 1, or (c) the producer's completed-round clock reaching
-  /// round - 1 (released after its last push of that round, so the acquire
-  /// read covers every batch message — and, unlike the reduce slot, it is
-  /// published at the round *boundary*, which certifies the common case of
-  /// a producer blocked in its own next drain without any null traffic).
-  /// While none of those hold the receiver raises the channel's demand
-  /// flag and spins — answering its own inbound demands so mutually-
-  /// blocked shards make progress.
-  bool drain_channel_async(std::size_t src, std::size_t me,
-                           std::uint64_t round,
-                           std::vector<CrossMsg>& pending) {
-    Shard& my = *shards_[me];
-    Channel& ch = *channels_[src * shards_.size() + me];
-    // The drain runs on shard `me`'s worker — the channel's one consumer.
-    RoleGuard consume(ch.ring.consumer_role());
-    const std::uint64_t want = round - 1;  // newest round in this batch
-    // Pops every available batch message; true once the batch is certified
-    // complete.  Nulls never reach `pending`; both kinds advance the
-    // consumer-side channel clock when they carry a newer EOT.
-    const auto sweep = [&]() -> bool {
-      // Clang's capability analysis treats the lambda as a separate
-      // function; re-state the role the enclosing guard holds.
-      ch.ring.consumer_role().assert_held();
-      while (const CrossMsg* head = ch.ring.try_peek()) {
-        if (head->round > want) return true;  // newer round: batch is done
-        CrossMsg msg;
-        const bool popped = ch.ring.try_pop(msg);
-        (void)popped;  // cannot fail: the consumer just peeked this slot
-        if (msg.eot > ch.eot) {
-          ch.eot = msg.eot;
-          ++my.stats.eot_advances;
-        }
-        if (msg.is_null()) {
-          // A null stamped `r` certifies every round <= r fully pushed
-          // (FIFO: it was pushed after them).  Stale ones — answers to a
-          // demand this drain no longer needs — just advance the clock.
-          if (msg.round >= want) return true;
-        } else {
-          pending.push_back(std::move(msg));
-        }
-      }
-      return false;
-    };
-    bool demanded = false;
+  /// Spins until `clock` reaches `at_least`.  Returns false only when the
+  /// global abort flag tripped while waiting.  The acquire load pairs with
+  /// the clock's release store, so everything the peer did before that
+  /// store is visible on return.
+  bool wait_until(const std::atomic<std::uint64_t>& clock,
+                  std::uint64_t at_least, Shard& my) {
+    if (clock.load(std::memory_order_acquire) >= at_least) return true;
+    ++my.stats.blocked_waits;
     unsigned spins = 0;
-    for (;;) {
-      if (sweep()) break;
-      if (shards_[src]->completed.load(std::memory_order_acquire) >= want) {
-        // Every batch message is already pushed (the clock's release
-        // ordered them first); one final sweep collects stragglers the
-        // first pass raced.
-        sweep();
-        break;
-      }
+    while (clock.load(std::memory_order_acquire) < at_least) {
       if (abort_.load(std::memory_order_relaxed)) return false;
-      if (!demanded) {
-        demanded = true;
-        ++my.stats.null_msgs_demanded;
-        ++my.stats.blocked_waits;
-      }
-      // Re-asserted every iteration: the producer may have cleared the
-      // flag while answering an older demand.
-      ch.demand.store(want, std::memory_order_release);
-      answer_demands(me);
       spin_relax(spins);
-    }
-    if (demanded) ch.demand.store(kNoDemand, std::memory_order_release);
-    // Spilled messages: lift this batch's rounds out under the spill
-    // mutex.  Newer-round spills (the producer ran ahead while its ring
-    // was full) stay behind for the next drain.
-    {
-      MutexLock lock(ch.spill_mu);
-      auto keep = ch.spill.begin();
-      for (auto it = ch.spill.begin(); it != ch.spill.end(); ++it) {
-        if (it->round > want) {
-          if (keep != it) *keep = std::move(*it);
-          ++keep;
-          continue;
-        }
-        if (it->eot > ch.eot) {
-          ch.eot = it->eot;
-          ++my.stats.eot_advances;
-        }
-        if (!it->is_null()) pending.push_back(std::move(*it));
-      }
-      ch.spill.erase(keep, ch.spill.end());
     }
     return true;
   }
 
-  /// Producer-side demand service: push a null message certifying this
-  /// shard's last completed round on every outbound channel whose consumer
-  /// raised a demand it can satisfy.  Called at round boundaries and from
-  /// inside every spin loop, so a blocked shard still serves its peers.
-  void answer_demands(std::size_t me) {
-    Shard& my = *shards_[me];
-    // Owner thread: relaxed is enough, the release happened at the store.
-    const std::uint64_t completed =
-        my.completed.load(std::memory_order_relaxed);
-    for (std::size_t to = 0; to < shards_.size(); ++to) {
-      if (to == me) continue;
-      Channel& ch = *channels_[me * shards_.size() + to];
-      const std::uint64_t want = ch.demand.load(std::memory_order_acquire);
-      if (want == kNoDemand || completed < want) continue;
-      ch.demand.store(kNoDemand, std::memory_order_release);
-      CrossMsg null_msg;
-      null_msg.when = kNever;
-      null_msg.src = static_cast<std::uint32_t>(me);
-      null_msg.round = completed;
-      null_msg.eot = my.sim.now() + ch.lookahead;
-      // action left empty: a null never schedules anything.
-      ++my.stats.null_msgs_sent;
-      // answer_demands runs on shard `me`'s worker — the producer of every
-      // outbound channel it services.
-      RoleGuard produce(ch.ring.producer_role());
-      if (!ch.ring.try_push(std::move(null_msg))) {
-        ++my.stats.channel_spills;
-        MutexLock lock(ch.spill_mu);
-        ch.spill.push_back(std::move(null_msg));
+  /// Drains every message the producer sent during rounds < `round` from
+  /// channel src → me into `pending`.  Returns false only when the global
+  /// abort flag tripped while waiting.  The batch is complete once the
+  /// producer's completed-round clock reaches round - 1: it is released
+  /// after the last push of that round.  Popping only after that point
+  /// keeps what the producer finds in the ring — and so its spill count —
+  /// independent of thread timing within a round.
+  bool drain_channel(std::size_t src, std::size_t me, std::uint64_t round,
+                     std::vector<CrossMsg>& pending) {
+    const std::uint64_t want = round - 1;  // newest round in this batch
+    if (!wait_until(shards_[src]->completed, want, *shards_[me])) return false;
+    Channel& ch = *channels_[src * shards_.size() + me];
+    // The drain runs on shard `me`'s worker — the channel's one consumer.
+    RoleGuard consume(ch.ring.consumer_role());
+    // Stamps are FIFO-monotone: the first newer-round message ends the
+    // batch, and everything behind it belongs to the next drain.
+    while (const CrossMsg* head = ch.ring.try_peek()) {
+      if (head->round > want) break;
+      CrossMsg msg;
+      const bool popped = ch.ring.try_pop(msg);
+      (void)popped;  // cannot fail: the consumer just peeked this slot
+      pending.push_back(std::move(msg));
+    }
+    // Spilled messages: lift this batch's rounds out under the spill
+    // mutex.  Newer-round spills (the producer ran ahead while its ring
+    // was full) stay behind for the next drain.
+    MutexLock lock(ch.spill_mu);
+    auto keep = ch.spill.begin();
+    for (auto it = ch.spill.begin(); it != ch.spill.end(); ++it) {
+      if (it->round > want) {
+        if (keep != it) *keep = std::move(*it);
+        ++keep;
+      } else {
+        pending.push_back(std::move(*it));
       }
     }
+    ch.spill.erase(keep, ch.spill.end());
+    return true;
   }
 
-  /// The deterministic merge both sync modes share: sort the drained batch
-  /// by (when, src_shard, send_seq) and schedule, so local seq assignment
-  /// never depends on thread timing.
+  /// The deterministic merge: sort the drained batch by (when, src_shard,
+  /// send_seq) and schedule, so local seq assignment never depends on
+  /// thread timing.
   void merge_and_schedule(std::size_t me, std::vector<CrossMsg>& pending) {
     Shard& my = *shards_[me];
     std::sort(pending.begin(), pending.end(),
@@ -723,8 +489,8 @@ class ShardedEngine {
   }
 
   /// One spin-wait step: a pause-class hint while the wait is short, a
-  /// scheduler yield once it is clearly not (CI runs more shards than
-  /// cores; a pure busy spin would starve the peer being waited on).
+  /// scheduler yield once it is clearly not (with more shards than cores a
+  /// pure busy spin would starve the peer being waited on).
   static void spin_relax(unsigned& spins) {
     if (++spins < 64) {
 #if defined(__x86_64__) || defined(__i386__)
@@ -740,9 +506,8 @@ class ShardedEngine {
     }
   }
 
-  /// Records the shard's failure and trips the abort flag.  In barrier
-  /// mode the worker keeps participating in barriers so no peer deadlocks;
-  /// in async mode every spin loop polls the flag and unwinds.
+  /// Records the shard's failure and trips the abort flag; every spin loop
+  /// polls the flag and unwinds.
   void fail(std::size_t me) {
     if (!errors_[me]) errors_[me] = std::current_exception();
     abort_.store(true, std::memory_order_relaxed);
@@ -755,16 +520,11 @@ class ShardedEngine {
   // read after the workers joined.
   std::vector<std::exception_ptr> errors_;
   // Monotone false→true flag.  All accesses relaxed: readers act on it
-  // only to stop early, and the join / barrier at the end of run()
-  // provides the ordering for everything written before the abort.
+  // only to stop early, and the join at the end of run() provides the
+  // ordering for everything written before the abort.
   std::atomic<bool> abort_{false};
   bool batched_horizons_ = false;
-  bool async_sync_ = false;
-  // Barrier mode only: written by worker 0 between barriers, read by all
-  // after the next one.  The barrier is the ordering edge, so both sides
-  // are relaxed; atomic because writer and readers are different threads.
-  std::atomic<bool> halt_{false};
-  std::uint64_t lbts_rounds_ = 0;
+  std::uint64_t lbts_rounds_ = 0;  // written by worker 0, read after join
 };
 
 }  // namespace nicmcast::sim

@@ -81,7 +81,10 @@ class Series {
       throw std::logic_error("percentile of empty series");
     }
     if (sorted_stale_) {
-      sorted_ = samples_;
+      // clear + insert rather than copy-assign: GCC 12 at -O3 reports a
+      // false -Warray-bounds inside vector::operator= once inlined.
+      sorted_.clear();
+      sorted_.insert(sorted_.end(), samples_.begin(), samples_.end());
       std::sort(sorted_.begin(), sorted_.end());
       sorted_stale_ = false;
     }

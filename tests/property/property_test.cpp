@@ -250,9 +250,15 @@ INSTANTIATE_TEST_SUITE_P(
                       LossyBcastCase{16, 4096, 7},
                       LossyBcastCase{16, 16384, 8}),
     [](const auto& param_info) {
-      return "n" + std::to_string(param_info.param.nodes) + "_b" +
-             std::to_string(param_info.param.size) + "_s" +
-             std::to_string(param_info.param.seed);
+      // append rather than operator+(const char*, string&&): GCC 12 at -O3
+      // reports a false -Wrestrict inside the latter.
+      std::string name("n");
+      name.append(std::to_string(param_info.param.nodes))
+          .append("_b")
+          .append(std::to_string(param_info.param.size))
+          .append("_s")
+          .append(std::to_string(param_info.param.seed));
+      return name;
     });
 
 }  // namespace

@@ -14,9 +14,7 @@
 //     suite cannot check because run_one reroutes 1-shard specs to the
 //     coroutine engine;
 //   - batched per-shard horizons change LBTS pacing but neither results
-//     nor protocol totals, and are themselves bit-reproducible;
-//   - asynchronous null-message sync (--sync async) replays the barrier
-//     round schedule exactly, so the SAME pinned vectors cover both modes.
+//     nor protocol totals, and are themselves bit-reproducible.
 //
 // Re-derive with the probe after an intentional re-timing:
 //
@@ -202,63 +200,6 @@ TEST(ShardedFamilies, BatchedHorizonsKeepResultsAndCutRounds) {
               again.engine.shard_order_hashes)
         << g.name;
     EXPECT_EQ(batched.engine.lbts_rounds, again.engine.lbts_rounds)
-        << g.name;
-  }
-}
-
-// The async-sync golden: --sync async must reproduce the SAME pinned hash
-// vectors as the barrier at every shard count, for every family — the
-// asynchronous null-message protocol replays the barrier round schedule
-// exactly, so it never forks a golden lineage.  lbts_rounds (the round
-// count, deterministic in both modes) must agree too.
-TEST(ShardedFamilies, AsyncSyncMatchesPinnedBarrierGoldens) {
-  for (const Golden& g : goldens()) {
-    for (std::size_t i = 0; i < std::size(kShardCounts); ++i) {
-      const std::size_t shards = kShardCounts[i];
-      RunSpec spec = g.spec();
-      spec.shards = shards;
-      const RunResult barrier_run = run_one(spec);
-      spec.async_sync = true;
-      const RunResult async_run = run_one(spec);
-      EXPECT_EQ(async_run.engine.shard_order_hashes, g.shard_hashes[i])
-          << g.name << " s" << shards
-          << ": async sync forked the pinned barrier lineage";
-      EXPECT_EQ(async_run.engine.event_order_hash,
-                barrier_run.engine.event_order_hash)
-          << g.name << " s" << shards;
-      EXPECT_EQ(async_run.engine.lbts_rounds, barrier_run.engine.lbts_rounds)
-          << g.name << " s" << shards
-          << ": async must replay the barrier round schedule";
-      EXPECT_DOUBLE_EQ(async_run.latency_us.mean(),
-                       barrier_run.latency_us.mean())
-          << g.name << " s" << shards;
-    }
-    // shards == 1 with async_sync set still dispatches to the classic
-    // coroutine stack — the flag is a sharded-engine axis only.
-    RunSpec spec = g.spec();
-    spec.shards = 1;
-    spec.async_sync = true;
-    const RunResult seq = run_one(spec);
-    EXPECT_EQ(seq.engine.event_order_hash, g.sequential_hash) << g.name;
-    EXPECT_EQ(seq.engine.shard_count, 0u) << g.name;
-  }
-}
-
-// Async composes with batched horizons on the family workloads too: same
-// batched lineage (hashes, rounds), just without the barrier waits.
-TEST(ShardedFamilies, AsyncComposesWithBatchedHorizonsOnFamilies) {
-  for (const Golden& g : goldens()) {
-    RunSpec spec = g.spec();
-    spec.shards = 4;
-    spec.batch_horizons = true;
-    const RunResult batched = run_one(spec);
-    spec.async_sync = true;
-    const RunResult both = run_one(spec);
-    EXPECT_EQ(both.engine.shard_order_hashes,
-              batched.engine.shard_order_hashes)
-        << g.name;
-    EXPECT_EQ(both.engine.lbts_rounds, batched.engine.lbts_rounds) << g.name;
-    EXPECT_EQ(both.metric("deliveries"), batched.metric("deliveries"))
         << g.name;
   }
 }

@@ -213,7 +213,9 @@ TEST(FlatMap, ReserveDoesNotCountAsGrowth) {
 
 TEST(FlatMap, ClearThenReuse) {
   FlatMap<std::uint64_t, std::string> map;
-  for (std::uint64_t k = 0; k < 100; ++k) map[k] = "x";
+  // Move-assign a std::string rather than assign a literal: GCC 12 at -O3
+  // reports a false -Wrestrict inside string::operator=(const char*) here.
+  for (std::uint64_t k = 0; k < 100; ++k) map[k] = std::string("x");
   map.clear();
   EXPECT_TRUE(map.empty());
   EXPECT_EQ(map.begin(), map.end());

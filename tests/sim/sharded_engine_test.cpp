@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -13,7 +15,10 @@ namespace {
 
 constexpr Duration kLookahead = usec(1);
 
-void hop(ShardedEngine& engine, std::size_t at, int remaining);
+// A message chain that hops `remaining` times, each hop `stride` shards
+// further round the ring (stride shard_count - 1 walks it backwards).
+void hop(ShardedEngine& engine, std::size_t at, int remaining,
+         std::size_t stride = 1);
 
 constexpr TimePoint t_us(double us) { return TimePoint{0} + usec(us); }
 
@@ -30,6 +35,8 @@ TEST(ShardedEngine, SingleShardRunsLikeAPlainSimulator) {
   engine.shard(0).schedule_at(t_us(1), [&] { order.push_back(1); });
   engine.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  // No peers, so nothing to wait on: the worker is a plain event loop.
+  EXPECT_EQ(engine.shard_stats(0).blocked_waits, 0u);
 
   // Identical schedule on a plain Simulator: same executed-order hash.
   Simulator seq;
@@ -150,7 +157,8 @@ TEST(ShardedEngine, ShardFailurePropagatesWithoutDeadlock) {
   engine.shard(2).schedule_at(t_us(5), [] {
     throw std::runtime_error("shard 2 exploded");
   });
-  // Keep the other shards busy so they are inside execute when it throws.
+  // The healthy shards hold far-future events, so without abort polling in
+  // the spin loops they would wait forever on shard 2's round.
   for (std::size_t s = 0; s < 4; ++s) {
     if (s == 2) continue;
     engine.shard(s).schedule_at(t_us(1), [] {});
@@ -187,10 +195,10 @@ TEST(ShardedEngine, RingOverflowSpillsDeterministically) {
 
 // Both shards overflow their rings toward each other across several
 // waves, so a producer is pushing into its spill vector while the peer —
-// the consumer of the opposite direction — drains its own.  Barrier and
-// spill share one locking discipline (spill_mu, NM_GUARDED_BY); under the
-// TSan job this test is the regression net for that discipline, and the
-// hash comparison keeps the merge deterministic besides.
+// the consumer of the opposite direction — drains its own.  Spills follow
+// one locking discipline (spill_mu, NM_GUARDED_BY); under the TSan job
+// this test is the regression net for that discipline, and the hash
+// comparison keeps the merge deterministic besides.
 TEST(ShardedEngine, BidirectionalSpillWavesStayDeterministic) {
   constexpr int kBurst = 3000;  // ring capacity is 1024
   constexpr int kWaves = 3;
@@ -220,11 +228,54 @@ TEST(ShardedEngine, BidirectionalSpillWavesStayDeterministic) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-void hop(ShardedEngine& engine, std::size_t at, int remaining) {
+void hop(ShardedEngine& engine, std::size_t at, int remaining,
+         std::size_t stride) {
   if (remaining == 0) return;
-  const std::size_t next = (at + 1) % engine.shard_count();
+  const std::size_t next = (at + stride) % engine.shard_count();
   engine.post(at, next, engine.shard(at).now() + kLookahead,
-              [&engine, next, remaining] { hop(engine, next, remaining - 1); });
+              [&engine, next, remaining, stride] {
+                hop(engine, next, remaining - 1, stride);
+              });
+}
+
+// More shards than hardware threads: every data-flow wait must yield so
+// the peer it waits on gets a core.  Chains walk the ring both ways, so
+// each shard produces into and consumes from both neighbours every few
+// rounds.  Capped at 32 shards because the channel matrix holds n² rings.
+TEST(ShardedEngine, OversubscribedShardsRepeatAndFailCleanly) {
+  const std::size_t n = std::clamp<std::size_t>(
+      2 * std::thread::hardware_concurrency(), 8, 32);
+  auto seed_traffic = [n](ShardedEngine& engine) {
+    for (std::size_t s = 0; s < n; ++s) {
+      engine.shard(s).schedule_at(
+          t_us(1.0 + 0.5 * static_cast<double>(s)), [&engine, s, n] {
+            hop(engine, s, 30);
+            hop(engine, s, 30, n - 1);
+          });
+    }
+  };
+  auto run_once = [&](std::uint64_t& rounds) {
+    ShardedEngine engine(n, kLookahead);
+    seed_traffic(engine);
+    engine.run();
+    rounds = engine.lbts_rounds();
+    return engine.shard_order_hashes();
+  };
+  std::uint64_t r1 = 0, r2 = 0;
+  const auto h1 = run_once(r1);
+  const auto h2 = run_once(r2);
+  ASSERT_EQ(h1.size(), n);
+  EXPECT_EQ(h1, h2);
+  EXPECT_EQ(r1, r2);
+
+  // The same traffic with one shard throwing mid-run: the failure must
+  // surface from run() while every peer is blocked on or behind it.
+  ShardedEngine failing(n, kLookahead);
+  seed_traffic(failing);
+  failing.shard(n / 2).schedule_at(t_us(9), [] {
+    throw std::runtime_error("oversubscribed shard exploded");
+  });
+  EXPECT_THROW(failing.run(), std::runtime_error);
 }
 
 // ---- Batched per-shard horizons (opt-in) ----
@@ -299,7 +350,7 @@ TEST(ShardedEngine, BatchedHorizonsAreRepeatable) {
 // train while every other shard is idle.  Unbatched, the horizon advances
 // one lookahead per round (one event when the train is spaced exactly at
 // the lookahead); batched, only the min_all + 2*lookahead chain bound
-// applies and each round covers two events — half the barrier rounds.
+// applies and each round covers two events — half the LBTS rounds.
 TEST(ShardedEngine, BatchedHorizonsHalveRoundsOnALocalEventTrain) {
   constexpr int kTrain = 40;
   auto rounds_for = [](bool batched) {
@@ -315,151 +366,6 @@ TEST(ShardedEngine, BatchedHorizonsHalveRoundsOnALocalEventTrain) {
   const std::uint64_t batched = rounds_for(true);
   EXPECT_EQ(unbatched, static_cast<std::uint64_t>(kTrain));
   EXPECT_LE(batched, unbatched / 2 + 1);
-}
-
-// ---- Asynchronous null-message synchronization (opt-in) ----
-
-// The async contract in one test: the same workload under the barrier and
-// under async must produce bit-identical per-shard hash vectors, merged
-// hash, AND the same lbts_rounds — async changes how shards wait, never
-// what they execute or how many rounds the round-replay takes.
-TEST(ShardedEngine, AsyncMatchesBarrierHashesOnPingPong) {
-  auto run_once = [](bool async, std::vector<std::uint64_t>& hashes,
-                     std::uint64_t& merged, std::uint64_t& rounds) {
-    ShardedEngine engine(4, kLookahead);
-    engine.enable_async_sync(async);
-    for (std::size_t s = 0; s < 4; ++s) {
-      engine.shard(s).schedule_at(t_us(static_cast<double>(s + 1)),
-                                  [&engine, s] { hop(engine, s, 50); });
-    }
-    engine.run();
-    hashes = engine.shard_order_hashes();
-    merged = engine.merged_order_hash();
-    rounds = engine.lbts_rounds();
-  };
-  std::vector<std::uint64_t> hb, ha;
-  std::uint64_t mb = 0, ma = 0, rb = 0, ra = 0;
-  run_once(false, hb, mb, rb);
-  run_once(true, ha, ma, ra);
-  EXPECT_EQ(ha, hb);
-  EXPECT_EQ(ma, mb);
-  EXPECT_EQ(ra, rb);
-  ASSERT_EQ(ha.size(), 4u);
-}
-
-TEST(ShardedEngine, AsyncIsRepeatableAcrossRuns) {
-  auto run_once = [](std::vector<std::uint64_t>& hashes,
-                     std::uint64_t& rounds) {
-    ShardedEngine engine(4, kLookahead);
-    engine.enable_async_sync(true);
-    for (std::size_t s = 0; s < 4; ++s) {
-      engine.shard(s).schedule_at(t_us(static_cast<double>(s + 1)),
-                                  [&engine, s] { hop(engine, s, 50); });
-    }
-    engine.run();
-    hashes = engine.shard_order_hashes();
-    rounds = engine.lbts_rounds();
-  };
-  std::vector<std::uint64_t> h1, h2;
-  std::uint64_t r1 = 0, r2 = 0;
-  run_once(h1, r1);
-  run_once(h2, r2);
-  EXPECT_EQ(h1, h2);
-  EXPECT_EQ(r1, r2);
-}
-
-// Ring overflow under async: the spill vector is shared under a mutex in
-// this mode (no barrier orders the handoff) — the merge must still be
-// deterministic and identical to the barrier schedule.
-TEST(ShardedEngine, AsyncRingOverflowMatchesBarrier) {
-  constexpr int kBurst = 3000;  // ring capacity is 1024
-  auto run_once = [](bool async) {
-    ShardedEngine engine(2, kLookahead);
-    engine.enable_async_sync(async);
-    engine.shard(0).schedule_at(t_us(1), [&engine] {
-      Simulator& s0 = engine.shard(0);
-      for (int i = 0; i < kBurst; ++i) {
-        engine.post(0, 1, s0.now() + kLookahead + nsec(i), [] {});
-      }
-    });
-    engine.run();
-    EXPECT_EQ(engine.shard_stats(1).cross_shard_msgs_received,
-              static_cast<std::uint64_t>(kBurst));
-    return engine.shard_order_hashes();
-  };
-  EXPECT_EQ(run_once(true), run_once(false));
-}
-
-TEST(ShardedEngine, AsyncShardFailurePropagatesWithoutDeadlock) {
-  ShardedEngine engine(4, kLookahead);
-  engine.enable_async_sync(true);
-  engine.shard(2).schedule_at(t_us(5), [] {
-    throw std::runtime_error("shard 2 exploded");
-  });
-  // The healthy shards hold far-future events, so without abort polling in
-  // the async spin loops they would wait forever on shard 2's round.
-  for (std::size_t s = 0; s < 4; ++s) {
-    if (s == 2) continue;
-    engine.shard(s).schedule_at(t_us(1), [] {});
-    engine.shard(s).schedule_at(t_us(1000), [] {});
-  }
-  EXPECT_THROW(engine.run(), std::runtime_error);
-}
-
-// The two opt-in modes compose: async + batched horizons must replay the
-// barrier + batched horizons schedule (that lineage's hashes and rounds).
-TEST(ShardedEngine, AsyncComposesWithBatchedHorizons) {
-  auto run_once = [](bool async, std::vector<std::uint64_t>& hashes,
-                     std::uint64_t& rounds) {
-    ShardedEngine engine(4, kLookahead);
-    engine.enable_batched_horizons(true);
-    engine.enable_async_sync(async);
-    for (std::size_t s = 0; s < 4; ++s) {
-      engine.shard(s).schedule_at(t_us(static_cast<double>(s + 1)),
-                                  [&engine, s] { hop(engine, s, 50); });
-    }
-    engine.run();
-    hashes = engine.shard_order_hashes();
-    rounds = engine.lbts_rounds();
-  };
-  std::vector<std::uint64_t> hb, ha;
-  std::uint64_t rb = 0, ra = 0;
-  run_once(false, hb, rb);
-  run_once(true, ha, ra);
-  EXPECT_EQ(ha, hb);
-  EXPECT_EQ(ra, rb);
-}
-
-// One shard has no peers: no channels, no nulls, no waits — the async
-// worker must degenerate to a plain event loop.
-TEST(ShardedEngine, AsyncSingleShardSendsNoNullMessages) {
-  ShardedEngine engine(1, kLookahead);
-  engine.enable_async_sync(true);
-  std::vector<int> order;
-  engine.shard(0).schedule_at(t_us(5), [&] { order.push_back(2); });
-  engine.shard(0).schedule_at(t_us(1), [&] { order.push_back(1); });
-  engine.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(engine.shard_stats(0).null_msgs_sent, 0u);
-  EXPECT_EQ(engine.shard_stats(0).null_msgs_demanded, 0u);
-  EXPECT_EQ(engine.shard_stats(0).blocked_waits, 0u);
-}
-
-// Under the barrier, the async counters stay zero — they are the async
-// mode's observability, not a shared code path.
-TEST(ShardedEngine, BarrierModeKeepsAsyncCountersAtZero) {
-  ShardedEngine engine(4, kLookahead);
-  for (std::size_t s = 0; s < 4; ++s) {
-    engine.shard(s).schedule_at(t_us(static_cast<double>(s + 1)),
-                                [&engine, s] { hop(engine, s, 20); });
-  }
-  engine.run();
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(engine.shard_stats(s).null_msgs_sent, 0u);
-    EXPECT_EQ(engine.shard_stats(s).null_msgs_demanded, 0u);
-    EXPECT_EQ(engine.shard_stats(s).eot_advances, 0u);
-    EXPECT_EQ(engine.shard_stats(s).blocked_waits, 0u);
-  }
 }
 
 // ---- Per-channel lookahead ----
