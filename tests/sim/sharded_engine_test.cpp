@@ -35,8 +35,6 @@ TEST(ShardedEngine, SingleShardRunsLikeAPlainSimulator) {
   engine.shard(0).schedule_at(t_us(1), [&] { order.push_back(1); });
   engine.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  // No peers, so nothing to wait on: the worker is a plain event loop.
-  EXPECT_EQ(engine.shard_stats(0).blocked_waits, 0u);
 
   // Identical schedule on a plain Simulator: same executed-order hash.
   Simulator seq;
@@ -276,6 +274,70 @@ TEST(ShardedEngine, OversubscribedShardsRepeatAndFailCleanly) {
     throw std::runtime_error("oversubscribed shard exploded");
   });
   EXPECT_THROW(failing.run(), std::runtime_error);
+}
+
+// ---- Asynchronous (data-flow) round protocol ----
+//
+// No barrier orders the shards: each one waits only on its producers'
+// completed-round clocks and on the single-slot reduce.
+
+// Unequal load on an odd ring: chains of different lengths walk three
+// shards backwards, so shards go idle at different rounds while peers
+// still work.  Hash vectors and round counts must not depend on which
+// shard reaches a wait first.
+TEST(ShardedEngine, AsyncIsRepeatableAcrossRuns) {
+  auto run_once = [](std::vector<std::uint64_t>& hashes,
+                     std::uint64_t& rounds) {
+    ShardedEngine engine(3, kLookahead);
+    for (std::size_t s = 0; s < 3; ++s) {
+      engine.shard(s).schedule_at(
+          t_us(1.0 + 0.25 * static_cast<double>(s)), [&engine, s] {
+            hop(engine, s, 20 * static_cast<int>(s + 1), 2);
+          });
+    }
+    engine.run();
+    hashes = engine.shard_order_hashes();
+    rounds = engine.lbts_rounds();
+  };
+  std::vector<std::uint64_t> h1, h2;
+  std::uint64_t r1 = 0, r2 = 0;
+  run_once(h1, r1);
+  run_once(h2, r2);
+  ASSERT_EQ(h1.size(), 3u);
+  EXPECT_EQ(h1, h2);
+  EXPECT_EQ(r1, r2);
+}
+
+// A shard throws while cross traffic is in flight, so its peers are
+// waiting on its channels and completed-round clock rather than idling on
+// far-future events.  The abort must reach those waits too.
+TEST(ShardedEngine, AsyncShardFailurePropagatesWithoutDeadlock) {
+  ShardedEngine engine(4, kLookahead);
+  for (std::size_t s = 0; s < 4; ++s) {
+    engine.shard(s).schedule_at(t_us(static_cast<double>(s + 1)),
+                                [&engine, s] { hop(engine, s, 100); });
+  }
+  engine.shard(1).schedule_at(t_us(20), [] {
+    throw std::runtime_error("shard 1 exploded mid-traffic");
+  });
+  EXPECT_THROW(engine.run(), std::runtime_error);
+}
+
+// One shard has no peers: no channels and nothing to wait on.  Even a
+// self-post bypasses the rings, so the worker is a plain event loop.
+TEST(ShardedEngine, AsyncSingleShardSendsNoNullMessages) {
+  ShardedEngine engine(1, kLookahead);
+  int ran = 0;
+  engine.shard(0).schedule_at(t_us(1), [&] {
+    engine.post(0, 0, engine.shard(0).now() + usec(2), [&] { ++ran; });
+  });
+  engine.run();
+  EXPECT_EQ(ran, 1);
+  const auto& stats = engine.shard_stats(0);
+  EXPECT_EQ(stats.cross_shard_msgs_sent, 0u);
+  EXPECT_EQ(stats.cross_shard_msgs_received, 0u);
+  EXPECT_EQ(stats.channel_spills, 0u);
+  EXPECT_EQ(stats.blocked_waits, 0u);
 }
 
 // ---- Batched per-shard horizons (opt-in) ----
