@@ -8,7 +8,7 @@
 //     vs host dissemination barrier;
 //  2. the scale sweep: single NIC-based multicasts on 128 -> 512 -> 2048 ->
 //     4096-node Clos fabrics at radix 16 and 32, timed sequentially, with
-//     per-point events/sec, process peak RSS, and the engine's lazy-route /
+//     per-point events/sec, per-point peak RSS, and the engine's lazy-route /
 //     timing-wheel counters in the JSON ("scale-<nodes>x<radix>" labels).
 //     The 128/512 points are pinned (exact event_order_hash + events/sec
 //     floor) by scripts/check_bench_regression.py --scale in CI, which caps
@@ -36,15 +36,45 @@ namespace {
 
 using namespace nicmcast::harness;
 
-/// Process peak RSS in KiB (0 where unsupported).  Monotonic, so the scale
-/// sweep runs smallest point first and each reading is effectively that
-/// point's high water.
-std::uint64_t peak_rss_kb() {
+/// Resets the kernel's peak-RSS mark (VmHWM) so the next peak_rss_kb()
+/// reading covers one sweep point.  False where /proc/self/clear_refs is
+/// missing or not writable.
+bool reset_peak_rss() {
 #if defined(__linux__)
+  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
+  if (f == nullptr) return false;
+  const bool wrote = std::fputs("5", f) >= 0;
+  return std::fclose(f) == 0 && wrote;
+#else
+  return false;
+#endif
+}
+
+/// Peak RSS in KiB since the last successful reset_peak_rss() — `VmHWM`
+/// from /proc/self/status — so each sweep point reports its own peak.
+/// Without a reset (`reset` false) it falls back to getrusage's
+/// ru_maxrss, the process-wide mark, which only ratchets up over a sweep.
+/// 0 where neither source exists.
+std::uint64_t peak_rss_kb(bool reset) {
+#if defined(__linux__)
+  if (reset) {
+    if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+      char line[256];
+      unsigned long long kb = 0;
+      bool found = false;
+      while (!found && std::fgets(line, sizeof line, f) != nullptr) {
+        found = std::sscanf(line, "VmHWM: %llu kB", &kb) == 1;
+      }
+      std::fclose(f);
+      if (found) return kb;
+    }
+  }
   rusage usage{};
   if (getrusage(RUSAGE_SELF, &usage) == 0) {
     return static_cast<std::uint64_t>(usage.ru_maxrss);
   }
+#else
+  static_cast<void>(reset);
 #endif
   return 0;
 }
@@ -101,6 +131,7 @@ RunResult run_scale_point(const BenchOptions& options, std::size_t nodes,
   spec.iterations = 2;
   spec.seed = derive_seed(options.base_seed, 1000 + index);
 
+  const bool rss_reset = reset_peak_rss();
   // NOLINTNEXTLINE(nicmcast-wall-clock): host wall time measures bench throughput, not simulated time
   const auto start = std::chrono::steady_clock::now();
   RunResult result = run_gm_mcast(spec);
@@ -115,7 +146,7 @@ RunResult run_scale_point(const BenchOptions& options, std::size_t nodes,
   result.set_metric("events", events);
   result.set_metric("wall_ms", wall_s * 1e3);
   result.set_metric("events_per_sec", events / wall_s);
-  result.set_metric("peak_rss_kb", static_cast<double>(peak_rss_kb()));
+  result.set_metric("peak_rss_kb", static_cast<double>(peak_rss_kb(rss_reset)));
   result.set_metric("full_pairs", full_pairs);
   return result;
 }
@@ -145,6 +176,7 @@ RunResult run_sharded_point(const BenchOptions& options, std::size_t nodes,
   // cross-shard-count invariance rows in BENCH_scale.json comparable.
   spec.seed = derive_seed(options.base_seed, 3000 + nodes);
 
+  const bool rss_reset = reset_peak_rss();
   // NOLINTNEXTLINE(nicmcast-wall-clock): host wall time measures bench throughput, not simulated time
   const auto start = std::chrono::steady_clock::now();
   RunResult result = run_one(spec);
@@ -157,7 +189,7 @@ RunResult run_sharded_point(const BenchOptions& options, std::size_t nodes,
   result.set_metric("events", events);
   result.set_metric("wall_ms", wall_s * 1e3);
   result.set_metric("events_per_sec", events / wall_s);
-  result.set_metric("peak_rss_kb", static_cast<double>(peak_rss_kb()));
+  result.set_metric("peak_rss_kb", static_cast<double>(peak_rss_kb(rss_reset)));
   result.set_metric("full_pairs",
                     static_cast<double>(nodes) *
                         static_cast<double>(nodes - 1));
@@ -237,6 +269,7 @@ RunResult run_multisend_point(const BenchOptions& options, std::size_t nodes,
   // both horizon modes) of one fabric answers for the same seeded scenario.
   spec.seed = derive_seed(options.base_seed, 5000 + nodes);
 
+  const bool rss_reset = reset_peak_rss();
   // NOLINTNEXTLINE(nicmcast-wall-clock): host wall time measures bench throughput, not simulated time
   const auto start = std::chrono::steady_clock::now();
   RunResult result = run_one(spec);
@@ -249,7 +282,7 @@ RunResult run_multisend_point(const BenchOptions& options, std::size_t nodes,
   result.set_metric("events", events);
   result.set_metric("wall_ms", wall_s * 1e3);
   result.set_metric("events_per_sec", events / wall_s);
-  result.set_metric("peak_rss_kb", static_cast<double>(peak_rss_kb()));
+  result.set_metric("peak_rss_kb", static_cast<double>(peak_rss_kb(rss_reset)));
   result.set_metric("full_pairs",
                     static_cast<double>(nodes) *
                         static_cast<double>(nodes - 1));

@@ -37,6 +37,38 @@ inline gm::Payload make_payload(std::size_t n, std::uint8_t salt = 0) {
   return p;
 }
 
+/// The payload iteration `iter` of a broadcast run sends,
+/// make_payload(bytes, iter), shared by the root's send and every
+/// receiver's check.  Only the current iteration's bytes are held; the
+/// runners' per-iteration barrier keeps all nodes on one iteration, so each
+/// is built once.  Use the reference before the caller next suspends.
+class IterationPayload {
+ public:
+  explicit IterationPayload(std::size_t bytes) : bytes_(bytes) {}
+
+  const gm::Payload& at(int iter) {
+    if (iter != iter_) {
+      payload_ = make_payload(bytes_, static_cast<std::uint8_t>(iter));
+      iter_ = iter;
+    }
+    return payload_;
+  }
+
+ private:
+  std::size_t bytes_;
+  int iter_ = -1;
+  gm::Payload payload_;
+};
+
+/// Whether two payloads hold the same bytes.  memcmp, because libstdc++'s
+/// vector<std::byte>::operator== compares one byte at a time — a large
+/// share of a 4096-endpoint multicast run, where every receiver checks.
+[[nodiscard]] inline bool same_payload(const gm::Payload& a,
+                                       const gm::Payload& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0);
+}
+
 inline std::vector<net::NodeId> everyone_but(net::NodeId root, std::size_t n) {
   std::vector<net::NodeId> v;
   // size_t index: a NodeId loop counter wraps (historically: infinite loop

@@ -182,18 +182,18 @@ RunResult run_gm_mcast(const RunSpec& spec) {
   auto delivered = std::make_shared<bool>(true);
 
   const std::size_t bytes = spec.message_bytes;
+  auto expected = std::make_shared<IterationPayload>(bytes);
   cluster.run_on_all([tree, group, nic_based, bytes, total, started, done,
-                      barrier, delivered](gm::Cluster& cl,
-                                          net::NodeId me) -> sim::Task<void> {
+                      barrier, delivered,
+                      expected](gm::Cluster& cl,
+                                net::NodeId me) -> sim::Task<void> {
     for (int iter = 0; iter < total; ++iter) {
       co_await barrier->arrive();
       if (me == tree.root()) {
         (*started)[iter] = cl.simulator().now();
       }
       gm::Payload data;
-      if (me == tree.root()) {
-        data = make_payload(bytes, static_cast<std::uint8_t>(iter));
-      }
+      if (me == tree.root()) data = expected->at(iter);
       gm::Payload got;
       if (nic_based) {
         got = co_await mcast::nic_bcast(cl.port(me), tree, group,
@@ -206,7 +206,7 @@ RunResult run_gm_mcast(const RunSpec& spec) {
       if (got.size() != bytes) {
         throw std::logic_error("harness: broadcast payload lost");
       }
-      if (got != make_payload(bytes, static_cast<std::uint8_t>(iter))) {
+      if (!same_payload(got, expected->at(iter))) {
         *delivered = false;  // recorded, not fatal: reliability benches report it
       }
       auto& d = (*done)[iter];
@@ -311,17 +311,16 @@ RunResult run_mpi_bcast(const RunSpec& spec) {
   auto done = std::make_shared<std::vector<sim::TimePoint>>(total);
 
   const std::size_t bytes = spec.message_bytes;
-  world.launch([barrier, started, done, bytes,
-                total](mpi::Process& self) -> sim::Task<void> {
+  auto expected = std::make_shared<IterationPayload>(bytes);
+  world.launch([barrier, started, done, bytes, total,
+                expected](mpi::Process& self) -> sim::Task<void> {
     for (int iter = 0; iter < total; ++iter) {
       co_await barrier->arrive();
       if (self.rank() == 0) (*started)[iter] = self.simulator().now();
       mpi::Payload data(bytes);
-      if (self.rank() == 0) {
-        data = make_payload(bytes, static_cast<std::uint8_t>(iter));
-      }
+      if (self.rank() == 0) data = expected->at(iter);
       co_await self.bcast(data, 0);
-      if (data != make_payload(bytes, static_cast<std::uint8_t>(iter))) {
+      if (!same_payload(data, expected->at(iter))) {
         throw std::logic_error("harness: corrupted MPI broadcast");
       }
       auto& d = (*done)[iter];

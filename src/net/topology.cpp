@@ -7,8 +7,57 @@
 namespace nicmcast::net {
 
 namespace {
-constexpr VertexId kNoVertex = std::numeric_limits<VertexId>::max();
 constexpr LinkId kNoLink = std::numeric_limits<LinkId>::max();
+
+/// Single-source BFS over `out` (each vertex's out-links in increasing id
+/// order): returns via[v], the link that first reached v, or kNoLink where
+/// v is unreachable.  Packets may not pass *through* an endpoint vertex
+/// (NICs do not cut through), so intermediate hops are switches.
+std::vector<LinkId> bfs_via(const Topology& t,
+                            const std::vector<std::vector<LinkId>>& out,
+                            NodeId from) {
+  std::vector<LinkId> via(t.vertex_count(), kNoLink);
+  std::queue<VertexId> frontier;
+  frontier.push(from);
+  while (!frontier.empty()) {
+    const VertexId v = frontier.front();
+    frontier.pop();
+    if (v != from && t.is_endpoint(v)) continue;  // endpoints terminate paths
+    for (const LinkId id : out[v]) {
+      const VertexId next = t.link(id).to;
+      if (next == from || via[next] != kNoLink) continue;
+      via[next] = id;
+      frontier.push(next);
+    }
+  }
+  return via;
+}
+
+std::vector<std::vector<LinkId>> out_links(const Topology& t) {
+  // Links appended in id order keep each vertex's out-links in increasing
+  // id order, which fixes the BFS discovery order and so the routes.
+  std::vector<std::vector<LinkId>> out(t.vertex_count());
+  for (LinkId id = 0; id < t.link_count(); ++id) {
+    out[t.link(id).from].push_back(id);
+  }
+  return out;
+}
+
+/// Walks `via` back from `to` to `from`.
+Route path_to(const Topology& t, const std::vector<LinkId>& via, NodeId from,
+              NodeId to) {
+  if (via[to] == kNoLink) {
+    throw std::runtime_error("no route between endpoints " +
+                             std::to_string(from) + " and " +
+                             std::to_string(to));
+  }
+  Route path;
+  for (VertexId v = to; v != from; v = t.link(via[v]).from) {
+    path.push_back(via[v]);
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
 }  // namespace
 
 Route Topology::route(NodeId from, NodeId to) const {
@@ -17,145 +66,50 @@ Route Topology::route(NodeId from, NodeId to) const {
   }
   if (from == to) return {};
 
-  // BFS over vertices; packets may not pass *through* an endpoint vertex
-  // (NICs do not cut through), so intermediate hops must be switches.
-  std::vector<LinkId> via(vertex_count_, kNoLink);
-  std::vector<VertexId> prev(vertex_count_, kNoVertex);
-  std::queue<VertexId> frontier;
-  frontier.push(from);
-  prev[from] = from;
-
-  while (!frontier.empty() && prev[to] == kNoVertex) {
-    const VertexId v = frontier.front();
-    frontier.pop();
-    if (v != from && is_endpoint(v)) continue;  // endpoints terminate paths
-    for (LinkId id = 0; id < links_.size(); ++id) {
-      const LinkDesc& l = links_[id];
-      if (l.from != v || prev[l.to] != kNoVertex) continue;
-      prev[l.to] = v;
-      via[l.to] = id;
-      frontier.push(l.to);
+  // Closed forms, read off the constructors' cable order: cable e is links
+  // 2e (first end -> second end) and 2e+1 (back).  Each equals the BFS's
+  // choice, which all_routes() checks in the tests.
+  switch (wiring_) {
+    case Wiring::kBackToBack:
+      return {static_cast<LinkId>(from)};  // cable 0: 0->1 is 0, 1->0 is 1
+    case Wiring::kLeafSpine: {
+      // Endpoint cables come first, so e's uplink is 2e and its downlink
+      // 2e+1; leaf l's cable to spine j follows at 2n + 2(l*spines + j).
+      const auto up = static_cast<LinkId>(2 * std::size_t{from});
+      const auto down = static_cast<LinkId>(2 * std::size_t{to} + 1);
+      const std::size_t leaf_a = from / per_leaf_;
+      const std::size_t leaf_b = to / per_leaf_;
+      if (leaf_a == leaf_b) return {up, down};
+      // The BFS expands spine 0 first and reaches every other leaf through
+      // it, so every cross-leaf route climbs through spine 0.
+      const std::size_t spine_cables = 2 * endpoint_count_;
+      return {up, static_cast<LinkId>(spine_cables + 2 * leaf_a * spines_),
+              static_cast<LinkId>(spine_cables + 2 * leaf_b * spines_ + 1),
+              down};
     }
+    case Wiring::kHand:
+      break;
   }
-
-  if (prev[to] == kNoVertex) {
-    throw std::runtime_error("no route between endpoints " +
-                             std::to_string(from) + " and " +
-                             std::to_string(to));
-  }
-
-  Route path;
-  for (VertexId v = to; v != from; v = prev[v]) {
-    path.push_back(via[v]);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
+  return path_to(*this, bfs_via(*this, out_links(*this), from), from, to);
 }
 
 std::vector<std::vector<Route>> Topology::all_routes() const {
-  // One full BFS per *source* instead of one per pair: the BFS exploration
-  // order is deterministic, so the predecessor tree — and every extracted
-  // route — is bit-identical to what per-pair route() calls produce, at
-  // 1/endpoint_count the cost.  Cluster construction runs this for every
-  // simulated network, so it is on the benchmark setup path.
-  std::vector<std::vector<LinkId>> adjacency(vertex_count_);
-  for (LinkId id = 0; id < links_.size(); ++id) {
-    // Links appended in id order keep each vertex's out-links in increasing
-    // id order — the same order the per-pair BFS discovers them in.
-    adjacency[links_[id].from].push_back(id);
-  }
-
-  std::vector<std::vector<Route>> out(endpoint_count_);
-  std::vector<LinkId> via(vertex_count_);
-  std::vector<VertexId> prev(vertex_count_);
+  // One BFS per *source*, not per pair: the discovery order is
+  // deterministic, so every extracted route equals the per-pair one.
+  const auto out = out_links(*this);
+  std::vector<std::vector<Route>> routes(endpoint_count_);
   for (NodeId from = 0; from < endpoint_count_; ++from) {
-    std::fill(via.begin(), via.end(), kNoLink);
-    std::fill(prev.begin(), prev.end(), kNoVertex);
-    std::queue<VertexId> frontier;
-    frontier.push(from);
-    prev[from] = from;
-    while (!frontier.empty()) {
-      const VertexId v = frontier.front();
-      frontier.pop();
-      if (v != from && is_endpoint(v)) continue;  // endpoints terminate paths
-      for (const LinkId id : adjacency[v]) {
-        const LinkDesc& l = links_[id];
-        if (prev[l.to] != kNoVertex) continue;
-        prev[l.to] = v;
-        via[l.to] = id;
-        frontier.push(l.to);
-      }
-    }
-
-    out[from].resize(endpoint_count_);
+    const std::vector<LinkId> via = bfs_via(*this, out, from);
+    routes[from].resize(endpoint_count_);
     for (NodeId to = 0; to < endpoint_count_; ++to) {
-      if (to == from) continue;
-      if (prev[to] == kNoVertex) {
-        throw std::runtime_error("no route between endpoints " +
-                                 std::to_string(from) + " and " +
-                                 std::to_string(to));
-      }
-      Route& path = out[from][to];
-      for (VertexId v = to; v != from; v = prev[v]) {
-        path.push_back(via[v]);
-      }
-      std::reverse(path.begin(), path.end());
+      if (to != from) routes[from][to] = path_to(*this, via, from, to);
     }
   }
-  return out;
+  return routes;
 }
 
 // ---------------------------------------------------------------------------
 // RouteTable
-
-/// (Re)starts the incremental BFS for `from`: resets the predecessor tree
-/// and seeds the frontier.  Exploration happens in extend_bfs().
-void RouteTable::start_bfs(NodeId from) {
-  const std::size_t vertices = topo_->vertex_count();
-  if (adjacency_.empty()) {
-    // Built once and shared by every source.  Links appended in id order
-    // keep each vertex's out-links in increasing id order — the same order
-    // Topology::route()'s per-pair BFS discovers them in, which is what
-    // keeps extracted routes bit-identical to the eager implementation's.
-    adjacency_.resize(vertices);
-    for (LinkId id = 0; id < topo_->link_count(); ++id) {
-      adjacency_[topo_->link(id).from].push_back(id);
-    }
-  }
-  via_.assign(vertices, kNoLink);
-  prev_.assign(vertices, kNoVertex);
-  frontier_.clear();
-  frontier_head_ = 0;
-  frontier_.push_back(from);
-  prev_[from] = from;
-  bfs_source_ = from;
-  bfs_valid_ = true;
-}
-
-/// Runs the BFS just far enough to discover `to`.  The frontier persists
-/// between calls, so later destinations for the same source continue where
-/// the last call stopped — the FIFO discovery order (and thus every
-/// extracted route) is identical to a single uninterrupted BFS.
-void RouteTable::extend_bfs(NodeId to) {
-  while (prev_[to] == kNoVertex && frontier_head_ < frontier_.size()) {
-    const VertexId v = frontier_[frontier_head_++];
-    if (v != bfs_source_ && topo_->is_endpoint(v)) {
-      continue;  // endpoints terminate paths (NICs do not cut through)
-    }
-    for (const LinkId id : adjacency_[v]) {
-      const LinkDesc& l = topo_->link(id);
-      if (prev_[l.to] != kNoVertex) continue;
-      prev_[l.to] = v;
-      via_[l.to] = id;
-      frontier_.push_back(l.to);
-    }
-  }
-  if (prev_[to] == kNoVertex) {
-    throw std::runtime_error("no route between endpoints " +
-                             std::to_string(bfs_source_) + " and " +
-                             std::to_string(to));
-  }
-}
 
 RouteView RouteTable::route(NodeId from, NodeId to) {
   if (from >= topo_->endpoint_count() || to >= topo_->endpoint_count()) {
@@ -174,20 +128,12 @@ RouteView RouteTable::route(NodeId from, NodeId to) {
 }
 
 RouteView RouteTable::materialize(NodeId from, NodeId to, SourceRoutes& sr) {
-  if (!bfs_valid_ || bfs_source_ != from) start_bfs(from);
-  extend_bfs(to);
-
-  // Walk the predecessor chain to -> from.
-  std::vector<VertexId> vertices;  // from ... to
-  std::vector<LinkId> links;       // links[i] enters vertices[i+1]
-  for (VertexId v = to; v != from; v = prev_[v]) {
-    vertices.push_back(v);
-    links.push_back(via_[v]);
-  }
-  vertices.push_back(from);
-  std::reverse(vertices.begin(), vertices.end());
-  std::reverse(links.begin(), links.end());
+  const Route links = topo_->route(from, to);
   const std::size_t hops = links.size();
+  // The vertex entered after j links (0 < j < hops) is a switch on the path.
+  const auto vertex_after = [&](std::size_t j) {
+    return topo_->link(links[j - 1]).to;
+  };
 
   // Longest interned prefix: the deepest on-path switch whose route from
   // this source is already in the arena.  Every destination behind the same
@@ -195,7 +141,7 @@ RouteView RouteTable::materialize(NodeId from, NodeId to, SourceRoutes& sr) {
   Entry entry;
   std::size_t shared = 0;  // links covered by the interned head
   for (std::size_t j = hops; j-- > 1;) {
-    const auto hit = sr.prefix_of.find(vertices[j]);
+    const auto hit = sr.prefix_of.find(vertex_after(j));
     if (hit != sr.prefix_of.end()) {
       entry.head = hit->second;
       shared = j;
@@ -213,7 +159,7 @@ RouteView RouteTable::materialize(NodeId from, NodeId to, SourceRoutes& sr) {
     // The whole route is contiguous: intern every proper prefix ending at a
     // switch so later destinations behind those switches can share it.
     for (std::size_t j = 1; j < hops; ++j) {
-      sr.prefix_of.emplace(vertices[j],
+      sr.prefix_of.emplace(vertex_after(j),
                            Span{entry.tail.off, static_cast<std::uint32_t>(j)});
     }
   }
@@ -230,6 +176,8 @@ Topology Topology::single_switch(std::size_t n) {
   for (VertexId e = 0; e < n; ++e) {
     t.add_cable(e, sw);
   }
+  t.wiring_ = Wiring::kLeafSpine;
+  t.per_leaf_ = n;
   return t;
 }
 
@@ -259,12 +207,16 @@ Topology Topology::clos(std::size_t n, std::size_t radix) {
       t.add_cable(leaf, spine);
     }
   }
+  t.wiring_ = Wiring::kLeafSpine;
+  t.per_leaf_ = per_leaf;
+  t.spines_ = spines;
   return t;
 }
 
 Topology Topology::back_to_back() {
   Topology t(2);
   t.add_cable(0, 1);
+  t.wiring_ = Wiring::kBackToBack;
   return t;
 }
 

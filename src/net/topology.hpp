@@ -63,13 +63,15 @@ class Topology {
   VertexId add_switch() { return vertex_count_++; }
 
   /// Adds a bidirectional cable as two unidirectional links.
-  /// Returns the id of the a->b link (the b->a link is id+1).
+  /// Returns the id of the a->b link (the b->a link is id+1).  The graph
+  /// counts as hand-wired afterwards, so route() searches it.
   LinkId add_cable(VertexId a, VertexId b) {
     check_vertex(a);
     check_vertex(b);
     const LinkId id = static_cast<LinkId>(links_.size());
     links_.push_back(LinkDesc{a, b});
     links_.push_back(LinkDesc{b, a});
+    wiring_ = Wiring::kHand;
     return id;
   }
 
@@ -82,14 +84,15 @@ class Topology {
     return v < endpoint_count_;
   }
 
-  /// Computes the shortest route (fewest links) between two endpoints via
-  /// BFS.  Direct endpoint-to-endpoint cables are allowed (back-to-back
-  /// two-node setups).  Throws if no path exists.
+  /// The shortest route (fewest links) between two endpoints, the one the
+  /// BFS reference picks.  O(1) closed form on the canned wirings; a BFS on
+  /// hand-wired graphs, where direct endpoint-to-endpoint cables are
+  /// allowed.  Throws if no path exists.
   [[nodiscard]] Route route(NodeId from, NodeId to) const;
 
-  /// All-pairs routes between endpoints; routes[i][j].  O(n^2 * hops)
-  /// memory — reference implementation for tests and small topologies; the
-  /// simulation data path uses the lazy interned RouteTable below.
+  /// All-pairs routes between endpoints by BFS, whatever the wiring;
+  /// routes[i][j].  O(n^2 * hops) memory — the reference route() is tested
+  /// against; the simulation data path uses the lazy interned RouteTable.
   [[nodiscard]] std::vector<std::vector<Route>> all_routes() const;
 
   // ---- Canned topologies ----
@@ -100,7 +103,8 @@ class Topology {
 
   /// Two-level Clos (leaf/spine) network of `radix`-port switches, the
   /// default Myrinet wiring for larger clusters.  Each leaf switch hosts
-  /// radix/2 endpoints and uplinks to radix/2 spine switches.
+  /// radix/2 endpoints and uplinks to radix/2 spine switches.  Cross-leaf
+  /// routes all climb through spine 0, the one the BFS reaches first.
   static Topology clos(std::size_t n, std::size_t radix = 16);
 
   /// Two endpoints wired back to back (no switch).
@@ -111,9 +115,17 @@ class Topology {
     if (v >= vertex_count_) throw std::out_of_range("bad vertex id");
   }
 
+  /// What route() may assume about the cable order.  Only the canned
+  /// constructors set a closed-form wiring; single_switch is one leaf with
+  /// no spines.
+  enum class Wiring : std::uint8_t { kHand, kBackToBack, kLeafSpine };
+
   std::size_t endpoint_count_;
   VertexId vertex_count_ = 0;
   std::vector<LinkDesc> links_;
+  Wiring wiring_ = Wiring::kHand;
+  std::size_t per_leaf_ = 0;  // kLeafSpine: endpoints per leaf switch
+  std::size_t spines_ = 0;    // kLeafSpine: spine switches (uplinks per leaf)
 };
 
 /// Observability counters for RouteTable (surfaced per run through
@@ -168,16 +180,12 @@ class RouteView {
 /// all-pairs `vector<vector<Route>>` (O(n^2 * hops) memory and setup time —
 /// the scaling blocker for 4096-node fabrics).
 ///
-/// Routes are computed on first use of a (src, dst) pair by an incremental
-/// per-source BFS whose exploration order is bit-identical to
-/// Topology::route()'s, so extracted routes — and therefore injection
-/// timings and the event order — never change.  Per source, routes live in
-/// a compressed arena: the path to a destination's last switch is interned
-/// once (keyed by switch vertex) and shared by every destination behind it;
-/// each additional destination stores only its tail links.  The BFS
-/// predecessor tree of the most recently used source is kept warm and
-/// extended on demand, so bursts of lookups from one source (a multicast
-/// fan-out, an ack storm converging on the root) pay one traversal.
+/// Routes come from Topology::route() on first use of a (src, dst) pair, so
+/// they — and therefore injection timings and the event order — are exactly
+/// the topology's.  Per source, routes live in a compressed arena: the path
+/// to a destination's last switch is interned once (keyed by switch vertex)
+/// and shared by every destination behind it; each additional destination
+/// stores only its tail links.
 class RouteTable {
  public:
   explicit RouteTable(const Topology& topology) : topo_(&topology) {}
@@ -209,21 +217,10 @@ class RouteTable {
                      e.tail.len);
   }
 
-  void start_bfs(NodeId from);
-  void extend_bfs(NodeId to);
   RouteView materialize(NodeId from, NodeId to, SourceRoutes& sr);
 
   const Topology* topo_;
   std::vector<std::unique_ptr<SourceRoutes>> sources_;  // lazily allocated
-  std::vector<std::vector<LinkId>> adjacency_;  // built once, on first use
-  // Incremental BFS state for the most recently used source: prev_/via_
-  // hold its (partial) predecessor tree; frontier_head_ indexes the FIFO.
-  std::uint32_t bfs_source_ = 0;
-  bool bfs_valid_ = false;
-  std::vector<LinkId> via_;
-  std::vector<VertexId> prev_;
-  std::vector<VertexId> frontier_;
-  std::size_t frontier_head_ = 0;
   RouteTableStats stats_;
 };
 

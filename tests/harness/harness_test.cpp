@@ -244,5 +244,33 @@ TEST(ExperimentUtil, EveryoneButTerminatesAndStaysDistinctPastSixtyFourK) {
   EXPECT_EQ(std::adjacent_find(dests.begin(), dests.end()), dests.end());
 }
 
+TEST(ExperimentUtil, SamePayloadChecksEveryByteAndTheSize) {
+  const gm::Payload base = make_payload(4096, 7);
+  EXPECT_TRUE(same_payload(base, make_payload(4096, 7)));
+  EXPECT_TRUE(same_payload(gm::Payload{}, gm::Payload{}));
+
+  gm::Payload first = base;
+  first.front() ^= std::byte{1};
+  EXPECT_FALSE(same_payload(first, base));
+
+  gm::Payload last = base;
+  last.back() ^= std::byte{0x80};
+  EXPECT_FALSE(same_payload(last, base));
+
+  EXPECT_FALSE(same_payload(make_payload(4095, 7), base));  // a prefix
+  EXPECT_FALSE(same_payload(base, make_payload(4097, 7)));
+  EXPECT_FALSE(same_payload(gm::Payload{}, base));
+}
+
+TEST(ExperimentUtil, IterationPayloadIsSaltedByIteration) {
+  IterationPayload expected(300);
+  for (const int iter : {0, 0, 1, 2, 0}) {
+    EXPECT_TRUE(same_payload(
+        expected.at(iter), make_payload(300, static_cast<std::uint8_t>(iter))))
+        << iter;
+  }
+  EXPECT_FALSE(same_payload(expected.at(1), make_payload(300, 0)));
+}
+
 }  // namespace
 }  // namespace nicmcast::harness

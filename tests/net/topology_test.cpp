@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <queue>
 #include <set>
+#include <vector>
 
 namespace nicmcast::net {
 namespace {
@@ -125,6 +127,119 @@ TEST(Topology, ForwardAndReverseRoutesUseDistinctLinks) {
   for (LinkId l : rev) {
     EXPECT_FALSE(fwd_set.contains(l));
   }
+}
+
+// ---- Closed-form routes vs the BFS reference -------------------------------
+
+/// Checks Topology::route and a fresh RouteTable against all_routes() on
+/// every ordered pair.
+void expect_routes_match_bfs(const Topology& t, const std::string& name) {
+  const auto bfs = t.all_routes();
+  RouteTable table(t);
+  const std::size_t n = t.endpoint_count();
+  for (NodeId i = 0; i < n; ++i) {
+    for (NodeId j = 0; j < n; ++j) {
+      ASSERT_EQ(t.route(i, j), bfs[i][j]) << name << " " << i << "->" << j;
+      ASSERT_EQ(table.route(i, j).to_route(), bfs[i][j])
+          << name << " table " << i << "->" << j;
+    }
+  }
+}
+
+TEST(Topology, SingleSwitchRoutesMatchBfsOnAllPairs) {
+  for (std::size_t n = 1; n <= 16; ++n) {
+    expect_routes_match_bfs(Topology::single_switch(n),
+                            "single_switch(" + std::to_string(n) + ")");
+  }
+  expect_routes_match_bfs(Topology::back_to_back(), "back_to_back");
+}
+
+TEST(Topology, ClosRoutesMatchBfsOnAllPairs) {
+  struct Case {
+    std::size_t n;
+    std::size_t radix;
+  };
+  // radix + 1: the smallest true Clos; 130 and 1000/r32 end in a partial
+  // leaf; 128 and 512 are the pinned scale points.
+  for (const auto [n, radix] :
+       {Case{5, 4}, Case{9, 8}, Case{17, 16}, Case{33, 32}, Case{130, 16},
+        Case{1000, 32}, Case{128, 16}, Case{128, 32}, Case{512, 16},
+        Case{512, 32}}) {
+    expect_routes_match_bfs(Topology::clos(n, radix),
+                            "clos(" + std::to_string(n) + ", " +
+                                std::to_string(radix) + ")");
+  }
+}
+
+/// A BFS over the public graph accessors only, independent of topology.cpp:
+/// via[v] is the link that first reached v.
+std::vector<LinkId> reference_bfs(const Topology& t, NodeId from) {
+  constexpr LinkId kNone = ~LinkId{0};
+  std::vector<std::vector<LinkId>> out(t.vertex_count());
+  for (LinkId id = 0; id < t.link_count(); ++id) {
+    out[t.link(id).from].push_back(id);
+  }
+  std::vector<LinkId> via(t.vertex_count(), kNone);
+  std::queue<VertexId> frontier;
+  frontier.push(from);
+  while (!frontier.empty()) {
+    const VertexId v = frontier.front();
+    frontier.pop();
+    if (v != from && t.is_endpoint(v)) continue;
+    for (const LinkId id : out[v]) {
+      const VertexId next = t.link(id).to;
+      if (next == from || via[next] != kNone) continue;
+      via[next] = id;
+      frontier.push(next);
+    }
+  }
+  return via;
+}
+
+TEST(Topology, ClosRoutesMatchBfsOnSampledSourcesAt16k) {
+  // all_routes() does not fit in memory here: 16 sources x every
+  // destination against a BFS written over link()/link_count().
+  const std::size_t n = 16384;
+  const Topology t = Topology::clos(n, 16);
+  RouteTable table(t);
+  for (NodeId from = 0; from < n; from += 1031) {  // 16 sources, mixed leaves
+    const std::vector<LinkId> via = reference_bfs(t, from);
+    for (NodeId to = 0; to < n; ++to) {
+      Route expected;
+      for (VertexId v = to; v != from; v = t.link(via[v]).from) {
+        expected.insert(expected.begin(), via[v]);
+      }
+      ASSERT_EQ(t.route(from, to), expected) << from << "->" << to;
+      ASSERT_EQ(table.route(from, to).to_route(), expected)
+          << "table " << from << "->" << to;
+    }
+  }
+}
+
+TEST(Topology, CrossLeafRoutesAllClimbThroughSpineZero) {
+  // Pins the single-path choice: spreading traffic over spines would move
+  // every Clos golden, so it has to be a deliberate change.
+  const std::size_t n = 128;
+  const std::size_t per_leaf = 8;  // radix 16
+  const Topology t = Topology::clos(n, 16);
+  const auto spine0 = static_cast<VertexId>(n + n / per_leaf);
+  for (NodeId i = 0; i < n; ++i) {
+    for (NodeId j = 0; j < n; ++j) {
+      if (i / per_leaf == j / per_leaf) continue;
+      const Route r = t.route(i, j);
+      ASSERT_EQ(r.size(), 4u);
+      EXPECT_EQ(t.link(r[1]).to, spine0) << i << "->" << j;
+    }
+  }
+}
+
+TEST(Topology, CableAddedToCannedWiringFallsBackToBfs) {
+  // A hand-added cable can shorten paths, so the closed form must not apply.
+  Topology t = Topology::clos(32, 8);
+  const LinkId shortcut = t.add_cable(0, 31);
+  EXPECT_EQ(t.route(0, 31), Route{shortcut});
+  EXPECT_EQ(t.route(31, 0), Route{shortcut + 1});
+  EXPECT_EQ(t.route(0, 3).size(), 2u);
 }
 
 // ---- RouteTable -----------------------------------------------------------
