@@ -245,16 +245,13 @@ void run_sharded_sweep(const BenchOptions& options,
 /// One migrated-coroutine-family point: the paper's flat NIC-based
 /// multisend (Fig. 3's star, no forwarding) on the sharded fabric.
 /// shards == 1 dispatches to the classic gm::Cluster coroutine stack, the
-/// bit-identical baseline; `batch` additionally turns on the batched
-/// per-shard LBTS horizons, whose only observable is fewer LBTS rounds
-/// ("-bh" label suffix; lbts_rounds in the JSON carries the before/after).
+/// bit-identical baseline.
 RunResult run_multisend_point(const BenchOptions& options, std::size_t nodes,
-                              std::size_t radix, std::size_t shards,
-                              bool batch) {
+                              std::size_t radix, std::size_t shards) {
   RunSpec spec;
   spec.experiment = Experiment::kMultisend;
   spec.label = "msend-" + std::to_string(nodes) + "x" + std::to_string(radix) +
-               "-s" + std::to_string(shards) + (batch ? "-bh" : "");
+               "-s" + std::to_string(shards);
   spec.nodes = nodes;
   spec.destinations = nodes - 1;
   spec.wiring = Wiring::kClos;
@@ -264,9 +261,8 @@ RunResult run_multisend_point(const BenchOptions& options, std::size_t nodes,
   spec.warmup = 1;
   spec.iterations = 2;
   spec.shards = shards;
-  spec.batch_horizons = batch;
-  // Seeded per node count, like the pshard points: every shard count (and
-  // both horizon modes) of one fabric answers for the same seeded scenario.
+  // Seeded per node count, like the pshard points: every shard count of
+  // one fabric answers for the same seeded scenario.
   spec.seed = derive_seed(options.base_seed, 5000 + nodes);
 
   const bool rss_reset = reset_peak_rss();
@@ -294,33 +290,29 @@ void run_family_sweep(const BenchOptions& options,
   struct Point {
     std::size_t nodes;
     std::size_t shards;
-    bool batch;
   };
   // The msend-512 s1/s4 pair is CI-pinned like the pshard pair.  16384 and
   // 65536 document the migrated family at fabric sizes the coroutine stack
-  // reaches slowly (16384) or only since the 32-bit NodeId (65536); the
-  // "-bh" twins rerun the same seeded scenario with batched horizons, so
-  // the lbts_rounds delta in the JSON is the LBTS-batching report.
+  // reaches slowly (16384) or only since the 32-bit NodeId (65536).
   const std::vector<Point> points{
-      {512, 1, false},   {512, 4, false},  // CI-pinned pair
-      {16384, 1, false}, {16384, 4, false}, {16384, 4, true},
-      {65536, 4, false}, {65536, 4, true},
+      {512, 1}, {512, 4},  // CI-pinned pair
+      {16384, 1}, {16384, 4}, {65536, 4},
   };
 
   std::printf("\n%25s | %10s | %9s | %12s | %11s | %9s | %9s\n",
               "multisend point", "events", "wall ms", "events/s",
               "x-shard msg", "lbts rnds", "blk waits");
   std::size_t skipped = 0;
-  for (const auto& [nodes, shards, batch] : points) {
+  for (const auto& [nodes, shards] : points) {
     if (options.max_nodes != 0 && nodes > options.max_nodes) {
       ++skipped;
       continue;
     }
     const std::size_t effective = options.shards_or(shards);
-    RunResult r = run_multisend_point(options, nodes, 16, effective, batch);
+    RunResult r = run_multisend_point(options, nodes, 16, effective);
     std::printf(
-        "%12zux16-s%zu%-9s | %10.0f | %9.1f | %12.0f | %11llu | %9llu | %9llu\n",
-        nodes, effective, batch ? "-bh" : "", r.metric("events"),
+        "%12zux16-s%-10zu | %10.0f | %9.1f | %12.0f | %11llu | %9llu | %9llu\n",
+        nodes, effective, r.metric("events"),
         r.metric("wall_ms"), r.metric("events_per_sec"),
         static_cast<unsigned long long>(r.engine.cross_shard_msgs),
         static_cast<unsigned long long>(r.engine.lbts_rounds),
@@ -428,7 +420,7 @@ void run(const BenchOptions& options) {
       "65536-node Clos)",
       "The coroutine experiment families on the conservative-PDES fabric "
       "(DESIGN.md 4.6): s1 = the gm::Cluster stack, s>1 = the sharded "
-      "fabric; -bh = batched LBTS horizons.");
+      "fabric.");
   run_family_sweep(options, results);
 
   write_bench_json("ext_scalability", options, results);

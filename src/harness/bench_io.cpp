@@ -1,8 +1,6 @@
 #include "harness/bench_io.hpp"
 
 #include <cstdio>
-
-#include "sim/simulator.hpp"
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
@@ -34,10 +32,6 @@ namespace {
                "default; 1 = the\n"
                "                classic sequential engine, bit-identical "
                "output)\n"
-               "  --no-batch    pop events one at a time instead of the "
-               "same-tick batched\n"
-               "                dispatch (identical order and hash; used "
-               "by CI to prove it)\n"
                "  --perf-counters  sample hardware cache/branch-miss "
                "counters per scenario\n"
                "                (perf_event_open; zeros when unavailable)\n"
@@ -87,8 +81,6 @@ BenchOptions parse_bench_options(int argc, char** argv,
     } else if (arg == "--shards") {
       options.shards =
           static_cast<std::size_t>(parse_u64(value(), bench_name));
-    } else if (arg == "--no-batch") {
-      options.batch_dispatch = false;
     } else if (arg == "--perf-counters") {
       options.perf_counters = true;
     } else if (arg == "--only") {
@@ -99,9 +91,6 @@ BenchOptions parse_bench_options(int argc, char** argv,
       usage_and_exit(bench_name, 2);
     }
   }
-  // Applied here, before any Simulator exists or any worker thread starts,
-  // so every run in the process sees one consistent dispatch mode.
-  sim::default_batch_dispatch() = options.batch_dispatch;
   return options;
 }
 
@@ -147,7 +136,6 @@ json::Value spec_to_json(const RunSpec& spec) {
   // Emitted only for sharded runs: every pre-existing document (and the
   // CI thread-count determinism diff over them) stays byte-identical.
   if (spec.shards > 1) out["shards"] = spec.shards;
-  if (spec.batch_horizons) out["batch_horizons"] = true;
   out["aux"] = spec.aux;
   return out;
 }

@@ -73,11 +73,6 @@ struct BenchOptions {
   /// gm_mcast scale sweeps).  0 = keep each bench point's own default, so
   /// existing BENCH_*.json documents are reproduced byte-identically.
   std::size_t shards = 0;
-  /// --no-batch: disable the simulator's same-tick batched dispatch and
-  /// pop events one at a time.  Executed order and event_order_hash are
-  /// bit-identical either way; CI runs the microbench both ways to prove
-  /// it.  Applied process-wide via sim::default_batch_dispatch().
-  bool batch_dispatch = true;
   /// --perf-counters: sample hardware cache-miss/branch-miss counters
   /// around each timed scenario (Linux perf_event_open; reads as zero
   /// off-Linux or when the kernel denies access).

@@ -1,11 +1,14 @@
 // The --shards axis: run_sharded executes a spec on the conservative-PDES
 // fabric (net::ShardedFabric over sim::ShardedEngine) instead of the
 // coroutine gm::Cluster stack.  Specs are translated, not reinterpreted:
-// same wiring resolution, same tree builder, same NIC and network knobs —
-// so shard counts change only how the simulation is partitioned, never
-// what it simulates.  Five families run sharded (gm_mcast, multisend,
-// mpi_bcast, skew_bcast, barrier); allreduce and host-based algorithms
-// stay coroutine-only and throw with a sharding-specific diagnostic.
+// same wiring resolution, same tree builder, same NIC and network knobs.
+// The fabric is still a separate protocol model, though: it sends each
+// message as one train where the classic NIC forwards per packet, so
+// multi-packet messages give different results at --shards 1 (the classic
+// stack) and --shards N (the fabric).  Results agree across shard counts
+// above 1.  Five families run sharded (gm_mcast, multisend, mpi_bcast,
+// skew_bcast, barrier); allreduce and host-based algorithms stay
+// coroutine-only and throw with a sharding-specific diagnostic.
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -142,7 +145,6 @@ RunResult run_sharded(const RunSpec& spec) {
   options.iterations = spec.iterations;
   options.loss_rate = spec.loss_rate;
   options.avg_skew_us = spec.avg_skew_us;
-  options.batch_horizons = spec.batch_horizons;
   options.seed = spec.seed;
   options.nic = spec.nic;
 
@@ -211,15 +213,6 @@ RunResult run_sharded(const RunSpec& spec) {
                       sum / static_cast<double>(fr.latency_us.size()));
   }
   return result;
-}
-
-RunResult run_sharded_mcast(const RunSpec& spec) {
-  if (spec.experiment != Experiment::kGmMulticast) {
-    throw std::invalid_argument(
-        "run_sharded_mcast: only the gm_mcast family; use run_sharded for "
-        "the other migrated families");
-  }
-  return run_sharded(spec);
 }
 
 }  // namespace nicmcast::harness

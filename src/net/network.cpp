@@ -42,22 +42,29 @@ Network::TxTiming Network::transmit(Packet packet) {
       sim::transfer_time(wire_size, config_.bandwidth_mbps);
   const sim::Duration hop = config_.hop_latency;
 
+  const bool small = wire_size <= config_.small_packet_bypass_bytes;
+  const bool data = packet.header.type == PacketType::kData ||
+                    packet.header.type == PacketType::kMcastData;
   sim::TimePoint inject = sim_.now();
-  if (wire_size > config_.small_packet_bypass_bytes) {
+  if (!small || data) {
     // Earliest injection instant at which the packet head finds every link
-    // on the path free when it arrives there (wormhole cut-through).
+    // on the path free when it arrives there (wormhole cut-through).  A
+    // short data packet waits too, so it cannot overtake the data packet
+    // ahead of it on a single-lane link.
     for (std::size_t i = 0; i < path.size(); ++i) {
       const sim::TimePoint needed =
           link_free_at_[path[i]] - hop * static_cast<std::int64_t>(i);
       inject = std::max(inject, needed);
     }
+  }
+  if (!small) {
     // Occupy each link for the serialisation window, staggered per hop.
     for (std::size_t i = 0; i < path.size(); ++i) {
       link_free_at_[path[i]] =
           inject + hop * static_cast<std::int64_t>(i) + ser;
     }
   }
-  // else: control-sized packet — flit-interleaved, no path reservation.
+  // Small packets reserve nothing: they interleave at flit granularity.
 
   const sim::TimePoint tx_done = inject + ser;
   const sim::TimePoint arrival =

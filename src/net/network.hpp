@@ -33,7 +33,11 @@ struct NetworkConfig {
   /// latency but neither wait on nor add to link occupancy.  The scalar
   /// per-link occupancy model would otherwise let a 24-byte ack reserve the
   /// sender's uplink tens of microseconds in the future and falsely block
-  /// data behind it.
+  /// data behind it.  A small *data* packet (kData, kMcastData: a
+  /// message's short tail) still waits until every link on its path is
+  /// free, as a large packet does, but reserves nothing: a single-lane
+  /// wormhole link cannot let it overtake the packet serialising ahead of
+  /// it.  Acks and control packets keep the full bypass.
   std::size_t small_packet_bypass_bytes = 128;
 };
 

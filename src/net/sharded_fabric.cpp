@@ -54,7 +54,6 @@ ShardedFabric::ShardedFabric(Topology topology, FabricTree tree,
   // leaf-block count so no worker ends up owning zero endpoints.
   engine_ = std::make_unique<sim::ShardedEngine>(
       partition_.shards, partition_.lookahead, options_.seed);
-  engine_->enable_batched_horizons(options_.batch_horizons);
   // Hand the engine the partition's per-pair channel lookaheads (post()
   // enforces them as the send window).  With the model's uniform hop
   // latency every entry equals the global floor, so this changes no

@@ -113,9 +113,6 @@ struct FabricOptions {
   double avg_skew_us = 0.0;
   /// Host-side MPI entry cost added to every kBcast/kSkewBcast delivery.
   sim::Duration host_entry_overhead = sim::usec(1.0);
-  /// Opt into the engine's batched per-shard horizons (fewer LBTS rounds;
-  /// different event seq assignment, so goldens pin per mode).
-  bool batch_horizons = false;
   std::uint64_t seed = 1;
   nic::NicConfig nic;
   NetworkConfig net;

@@ -78,11 +78,6 @@ struct NicConfig {
   /// finite pool is the rejected, deadlock-prone alternative).
   std::size_t send_tokens_per_port = 16;
 
-  /// Shard this NIC lives on in a sharded (PDES) run; 0 in sequential
-  /// runs.  Tagged into trace output so a per-shard timeline can be teased
-  /// apart when debugging cross-shard scheduling.
-  std::uint32_t shard = 0;
-
   /// Expected peer-connection population: how many distinct (port, peer,
   /// peer port) connections this NIC is likely to hold at once.  The
   /// sender/receiver Go-back-N tables pre-reserve to this at construction

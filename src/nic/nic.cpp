@@ -1680,14 +1680,8 @@ void Nic::release_send_token(net::PortId port) {
 
 void Nic::emit_trace(const char* category, const std::string& message) {
   if (sim_.tracer().enabled(category)) {
-    // Sequential runs (shard 0) keep the historical source tag so golden
-    // trace expectations survive; sharded runs prefix the owning shard.
-    const std::string source =
-        config_.shard == 0
-            ? "node" + std::to_string(id_) + ".nic"
-            : "s" + std::to_string(config_.shard) + ".node" +
-                  std::to_string(id_) + ".nic";
-    sim_.tracer().emit(sim_.now(), category, source, message);
+    sim_.tracer().emit(sim_.now(), category,
+                       "node" + std::to_string(id_) + ".nic", message);
   }
 }
 

@@ -46,24 +46,6 @@
 // LBTS = kNever in the same round and exit together; a shard failure
 // trips an abort flag that every spin loop polls.
 //
-// Batched horizons (opt-in, enable_batched_horizons): instead of the one
-// global horizon LBTS + lookahead, the reduce derives a per-shard horizon
-//
-//   H_i = min( min_{j != i} m_j + la,  min_all m_j + 2*la )
-//
-// where m_j is shard j's earliest pending event at the reduce.  Safety:
-// the drain took every message sent before the round, so any event shard
-// i could still receive is produced by some shard executing a pending
-// event.  A direct send from j != i departs an event at t >= m_j and
-// arrives >= m_j + la >= min_{j != i} m_j + la.  Any relayed chain
-// (including one that starts at i itself) crosses >= 2 shard hops of
-// >= la each from an event at >= min_all, arriving >= min_all + 2*la.
-// Every H_i >= the classic horizon, so each round executes at least as
-// much work and wide fabrics spend measurably fewer rounds
-// (`lbts_rounds`).  Event seq assignment differs from the unbatched
-// schedule, so per-shard hash goldens are pinned per (scenario, batching
-// mode); the pre-existing mcast goldens all use the unbatched default.
-//
 // Determinism: with shard count fixed, the executed (when, seq) order of
 // every shard is a pure function of the initial events and seeds — the
 // drain takes a stamp-defined batch and sorts it, which removes the only
@@ -135,12 +117,6 @@ class ShardedEngine {
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] Duration lookahead() const { return lookahead_; }
   [[nodiscard]] Simulator& shard(std::size_t i) { return shards_.at(i)->sim; }
-
-  /// Switches the reduce phase to per-shard batched horizons (see the
-  /// header comment).  Changes each shard's event seq assignment — callers
-  /// that pin hash goldens pin them per batching mode.  Call before run().
-  void enable_batched_horizons(bool on) { batched_horizons_ = on; }
-  [[nodiscard]] bool batched_horizons() const { return batched_horizons_; }
 
   /// Overrides the lookahead of the ordered channel from → to.  post()
   /// enforces it as the send window, so a pair of shards joined only by
@@ -312,47 +288,6 @@ class ShardedEngine {
     alignas(64) char pad_[1]{};  // keep shard hot state off shared lines
   };
 
-  /// The reduce fold: LBTS plus the two smallest contributions (min over
-  /// j != i is then O(1) per shard: m2 when i holds the minimum, m1
-  /// otherwise).
-  struct ReduceSummary {
-    TimePoint lbts = kNever;
-    TimePoint m1 = kNever, m2 = kNever;
-    std::size_t argmin = 0;
-  };
-
-  static ReduceSummary summarize(const std::vector<TimePoint>& mins) {
-    ReduceSummary r;
-    for (std::size_t i = 0; i < mins.size(); ++i) {
-      const TimePoint m = mins[i];
-      if (m < r.m1) {
-        r.m2 = r.m1;
-        r.m1 = m;
-        r.argmin = i;
-      } else if (m < r.m2) {
-        r.m2 = m;
-      }
-    }
-    r.lbts = r.m1;
-    return r;
-  }
-
-  /// Shard i's execute horizon for this round — a pure function of the
-  /// reduce summary, so every shard's local fold of the same m-vector
-  /// agrees bit-for-bit.
-  [[nodiscard]] TimePoint horizon_for(std::size_t i,
-                                      const ReduceSummary& r) const {
-    if (!batched_horizons_) return r.lbts + lookahead_;
-    const TimePoint min_others = i == r.argmin ? r.m2 : r.m1;
-    // kNever marks "every other shard idle": only the relayed-chain bound
-    // applies, and kNever + lookahead must not be formed (the sentinel is
-    // int64 max; the sum would overflow).
-    const TimePoint direct_bound =
-        min_others == kNever ? kNever : min_others + lookahead_;
-    const TimePoint chain_bound = r.lbts + lookahead_ + lookahead_;
-    return std::min(direct_bound, chain_bound);
-  }
-
   /// One shard's round loop.  Each phase waits only on the peers it
   /// depends on: a channel drain on that channel's producer, the reduce on
   /// peers whose slot has not reached this round yet.
@@ -390,15 +325,14 @@ class ShardedEngine {
         mins[j] = TimePoint{peer.m_value.load(std::memory_order_relaxed)};
       }
       if (!ok) break;
-      const ReduceSummary reduce = summarize(mins);
       // Every shard folds the same m-vector: all observe the all-idle
       // LBTS at the same round and exit together.
-      if (reduce.lbts == kNever) break;
+      const TimePoint lbts = *std::min_element(mins.begin(), mins.end());
+      if (lbts == kNever) break;
       if (me == 0) ++lbts_rounds_;
       // ---- Phase 3: execute strictly below the safe horizon ----
       try {
-        const std::size_t executed =
-            my.sim.run_before(horizon_for(me, reduce));
+        const std::size_t executed = my.sim.run_before(lbts + lookahead_);
         if (executed == 0 && my.sim.pending_events() > 0) {
           // This shard's earliest event sits exactly at or beyond the
           // horizon (the lookahead-edge case); it waits for the next round.
@@ -523,7 +457,6 @@ class ShardedEngine {
   // only to stop early, and the join at the end of run() provides the
   // ordering for everything written before the abort.
   std::atomic<bool> abort_{false};
-  bool batched_horizons_ = false;
   std::uint64_t lbts_rounds_ = 0;  // written by worker 0, read after join
 };
 

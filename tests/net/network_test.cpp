@@ -96,6 +96,31 @@ TEST_F(NetworkTest, SameLinkTransmissionsSerialize) {
   EXPECT_EQ(sinks_[2].arrivals.size(), 1u);
 }
 
+TEST_F(NetworkTest, SmallDataPacketQueuesBehindDataButAcksBypass) {
+  // A message's short tail packet must not overtake the full packet still
+  // serialising ahead of it on the same single-lane path; an ack on that
+  // path interleaves at flit granularity and still arrives first.
+  Network net(sim_, Topology::single_switch(4));
+  attach_all(net, 4);
+  const auto full = net.transmit(make_packet(0, 1, 4096, 0));
+  Packet tail = make_packet(0, 1, 1, 1);
+  ASSERT_LE(tail.wire_size(net.config().framing_bytes),
+            net.config().small_packet_bypass_bytes);
+  const auto tail_timing = net.transmit(std::move(tail));
+  Packet ack;
+  ack.header.type = PacketType::kAck;
+  ack.header.src = 0;
+  ack.header.dst = 1;
+  const auto ack_timing = net.transmit(std::move(ack));
+  EXPECT_GT(tail_timing.arrival, full.arrival);
+  EXPECT_LT(ack_timing.arrival, full.arrival);
+  sim_.run();
+  ASSERT_EQ(sinks_[1].arrivals.size(), 3u);
+  EXPECT_EQ(sinks_[1].arrivals[0].packet.header.type, PacketType::kAck);
+  EXPECT_EQ(sinks_[1].arrivals[1].packet.header.seq, 0u);
+  EXPECT_EQ(sinks_[1].arrivals[2].packet.header.seq, 1u);
+}
+
 TEST_F(NetworkTest, DisjointPathsDoNotInterfere) {
   Network net(sim_, Topology::single_switch(4));
   attach_all(net, 4);

@@ -12,9 +12,7 @@
 //   - protocol totals are invariant across shard counts — including
 //     shards == 1 *on the fabric itself* (run_sharded), which the gm_mcast
 //     suite cannot check because run_one reroutes 1-shard specs to the
-//     coroutine engine;
-//   - batched per-shard horizons change LBTS pacing but neither results
-//     nor protocol totals, and are themselves bit-reproducible.
+//     coroutine engine.
 //
 // Re-derive with the probe after an intentional re-timing:
 //
@@ -176,34 +174,6 @@ TEST(ShardedFamilies, LatencyStableAcrossShallowShardCounts) {
   }
 }
 
-TEST(ShardedFamilies, BatchedHorizonsKeepResultsAndCutRounds) {
-  for (const Golden& g : goldens()) {
-    RunSpec spec = g.spec();
-    spec.shards = 4;
-    const RunResult classic = run_one(spec);
-    spec.batch_horizons = true;
-    const RunResult batched = run_one(spec);
-    const RunResult again = run_one(spec);
-    // Same simulation: identical latencies and protocol totals.
-    EXPECT_DOUBLE_EQ(batched.latency_us.mean(), classic.latency_us.mean())
-        << g.name;
-    EXPECT_EQ(batched.metric("deliveries"), classic.metric("deliveries"))
-        << g.name;
-    EXPECT_EQ(batched.nic_totals.retransmissions,
-              classic.nic_totals.retransmissions)
-        << g.name;
-    // Fewer (never more) LBTS rounds — the widened horizons dominate.
-    EXPECT_LE(batched.engine.lbts_rounds, classic.engine.lbts_rounds)
-        << g.name;
-    // And the batched lineage is itself bit-reproducible.
-    EXPECT_EQ(batched.engine.shard_order_hashes,
-              again.engine.shard_order_hashes)
-        << g.name;
-    EXPECT_EQ(batched.engine.lbts_rounds, again.engine.lbts_rounds)
-        << g.name;
-  }
-}
-
 TEST(ShardedFamilies, SkewBcastChargesHostTimeNotSkew) {
   // The paper's headline: under NIC multicast, a rank's bcast CPU time
   // stays flat as process skew grows, because late ranks find the payload
@@ -278,7 +248,7 @@ std::vector<Golden> goldens() {
             0xacd8b0c0fb85b87dULL, 0x7798c4e0e61cc146ULL,
             0xe090342679bf0d69ULL, 0x379acb6841b90fc7ULL},
        }},
-      {"skew", &skew, 0xf6c542606ba7d310ULL,
+      {"skew", &skew, 0xa326b770ecdb85aaULL,
        {
            {0x2183a0521d4935bdULL, 0x94d5f9ea012d9e05ULL},
            {0xadec5f620e9e8f55ULL, 0xf371ba5d86b4e139ULL,

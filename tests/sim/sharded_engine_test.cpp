@@ -340,23 +340,20 @@ TEST(ShardedEngine, AsyncSingleShardSendsNoNullMessages) {
   EXPECT_EQ(stats.blocked_waits, 0u);
 }
 
-// ---- Batched per-shard horizons (opt-in) ----
+// ---- In-round replies ----
 
-// Safety under batching: every cross-shard message must still land in the
-// receiver's future (Simulator::schedule_at throws on a time in the past),
-// and the protocol outcome must match the unbatched schedule exactly.
-// The staggered start times + reply traffic exercise the case that makes
-// the naive "min over others + lookahead" horizon unsound: an almost-idle
-// shard reacting to a post and sending back within the round.
-TEST(ShardedEngine, BatchedHorizonsPreserveOutcomeWithFewerRounds) {
-  auto run_once = [](bool batched, std::uint64_t& rounds,
-                     std::uint64_t& replies) {
+// Safety at the horizon: every cross-shard message must land in the
+// receiver's future (Simulator::schedule_at throws on a time in the past).
+// Staggered start times plus replies sent from inside the round that
+// received the ping exercise an almost-idle shard reacting to a post and
+// sending back within one lookahead; the outcome and the round count are
+// repeatable.
+TEST(ShardedEngine, InRoundRepliesKeepOutcomeAndRounds) {
+  auto run_once = [](std::uint64_t& rounds, std::uint64_t& replies) {
     ShardedEngine engine(4, kLookahead);
-    engine.enable_batched_horizons(batched);
     std::uint64_t* count = &replies;
-    // Shard 0 drives: a dense local event train (so its own horizon
-    // matters) plus pings to every other shard; each target replies, and
-    // the reply bumps the shared count on shard 0.
+    // Shard 0 drives: a dense local event train plus pings to every other
+    // shard; each target replies, and the reply bumps the count on shard 0.
     for (int i = 0; i < 200; ++i) {
       engine.shard(0).schedule_at(t_us(1.0 + 0.25 * i), [] {});
     }
@@ -376,58 +373,28 @@ TEST(ShardedEngine, BatchedHorizonsPreserveOutcomeWithFewerRounds) {
     rounds = engine.lbts_rounds();
   };
 
-  std::uint64_t unbatched_rounds = 0, unbatched_replies = 0;
-  std::uint64_t batched_rounds = 0, batched_replies = 0;
-  run_once(false, unbatched_rounds, unbatched_replies);
-  run_once(true, batched_rounds, batched_replies);
-  EXPECT_EQ(batched_replies, unbatched_replies);
-  EXPECT_EQ(batched_replies, 3u);
-  // Batched horizons dominate the classic one, so rounds can only drop.
-  EXPECT_LE(batched_rounds, unbatched_rounds);
-  EXPECT_LT(batched_rounds, unbatched_rounds);  // and here they must
+  std::uint64_t rounds = 0, replies = 0;
+  std::uint64_t again_rounds = 0, again_replies = 0;
+  run_once(rounds, replies);
+  run_once(again_rounds, again_replies);
+  EXPECT_EQ(replies, 3u);
+  EXPECT_EQ(again_replies, replies);
+  EXPECT_GT(rounds, 0u);
+  EXPECT_EQ(again_rounds, rounds);
 }
 
-TEST(ShardedEngine, BatchedHorizonsAreRepeatable) {
-  auto run_once = [](std::vector<std::uint64_t>& hashes,
-                     std::uint64_t& rounds) {
-    ShardedEngine engine(4, kLookahead);
-    engine.enable_batched_horizons(true);
-    for (std::size_t s = 0; s < 4; ++s) {
-      engine.shard(s).schedule_at(t_us(static_cast<double>(s + 1)),
-                                  [&engine, s] { hop(engine, s, 50); });
-    }
-    engine.run();
-    hashes = engine.shard_order_hashes();
-    rounds = engine.lbts_rounds();
-  };
-  std::vector<std::uint64_t> h1, h2;
-  std::uint64_t r1 = 0, r2 = 0;
-  run_once(h1, r1);
-  run_once(h2, r2);
-  EXPECT_EQ(h1, h2);
-  EXPECT_EQ(r1, r2);
-}
-
-// The shape where batching pays most: one shard holds a long local event
-// train while every other shard is idle.  Unbatched, the horizon advances
-// one lookahead per round (one event when the train is spaced exactly at
-// the lookahead); batched, only the min_all + 2*lookahead chain bound
-// applies and each round covers two events — half the LBTS rounds.
-TEST(ShardedEngine, BatchedHorizonsHalveRoundsOnALocalEventTrain) {
+// The horizon is exactly LBTS + lookahead: with one shard holding a local
+// event train spaced at the lookahead and every other shard idle, each
+// round runs one event — a wider horizon would take fewer rounds, a
+// narrower one would stall.
+TEST(ShardedEngine, HorizonAdvancesOneLookaheadPerRound) {
   constexpr int kTrain = 40;
-  auto rounds_for = [](bool batched) {
-    ShardedEngine engine(2, kLookahead);
-    engine.enable_batched_horizons(batched);
-    for (int i = 0; i < kTrain; ++i) {
-      engine.shard(0).schedule_at(t_us(1.0 + static_cast<double>(i)), [] {});
-    }
-    engine.run();
-    return engine.lbts_rounds();
-  };
-  const std::uint64_t unbatched = rounds_for(false);
-  const std::uint64_t batched = rounds_for(true);
-  EXPECT_EQ(unbatched, static_cast<std::uint64_t>(kTrain));
-  EXPECT_LE(batched, unbatched / 2 + 1);
+  ShardedEngine engine(2, kLookahead);
+  for (int i = 0; i < kTrain; ++i) {
+    engine.shard(0).schedule_at(t_us(1.0 + static_cast<double>(i)), [] {});
+  }
+  engine.run();
+  EXPECT_EQ(engine.lbts_rounds(), static_cast<std::uint64_t>(kTrain));
 }
 
 // ---- Per-channel lookahead ----

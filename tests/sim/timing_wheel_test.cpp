@@ -326,21 +326,28 @@ TEST(TimingWheelBatch, CancelInsideBatchIsHonoured) {
 
 TEST(TimingWheelBatch, ScheduleIntoOwnTickJoinsTheBatchEitherWay) {
   // An event scheduling a same-timestamp successor while its tick executes:
-  // the successor runs in this tick in both modes, with equal hashes.
-  auto run_history = [](bool batched) {
-    Simulator sim;
-    sim.set_batch_dispatch(batched);
-    std::vector<int> order;
-    sim.schedule_at(TimePoint{50}, [&] {
-      order.push_back(0);
-      sim.schedule_at(TimePoint{50}, [&] { order.push_back(2); });
-    });
-    sim.schedule_at(TimePoint{50}, [&] { order.push_back(1); });
-    sim.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    return sim.event_order_hash();
-  };
-  EXPECT_EQ(run_history(true), run_history(false));
+  // Simulator::run()'s batched dispatch runs the successor in this tick,
+  // exactly as a per-event EventQueue::pop() replay of the same history.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(TimePoint{50}, [&] {
+    order.push_back(0);
+    sim.schedule_at(TimePoint{50}, [&] { order.push_back(2); });
+  });
+  sim.schedule_at(TimePoint{50}, [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+
+  EventQueue q;
+  std::vector<int> replay;
+  q.schedule(TimePoint{50}, [&] {
+    replay.push_back(0);
+    q.schedule(TimePoint{50}, [&] { replay.push_back(2); });
+  });
+  q.schedule(TimePoint{50}, [&] { replay.push_back(1); });
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(replay, order);
+  EXPECT_EQ(q.order_hash(), sim.event_order_hash());
 }
 
 TEST(TimingWheelCancel, StatsSurfaceWheelBehaviour) {
