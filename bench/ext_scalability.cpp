@@ -8,14 +8,15 @@
 //     vs host dissemination barrier;
 //  2. the scale sweep: single NIC-based multicasts on 128 -> 512 -> 2048 ->
 //     4096-node Clos fabrics at radix 16 and 32, timed sequentially, with
-//     per-point events/sec, per-point peak RSS, and the engine's lazy-route /
+//     per-point events/sec, per-point peak RSS, and the engine's route /
 //     timing-wheel counters in the JSON ("scale-<nodes>x<radix>" labels).
 //     The 128/512 points are pinned (exact event_order_hash + events/sec
 //     floor) by scripts/check_bench_regression.py --scale in CI, which caps
 //     the sweep with --max-nodes to stay fast; the larger points document
 //     wall clock and memory.  A full all-pairs route table at 4096 nodes
 //     would hold 4096*4095 routes; the engine's routes_materialized counter
-//     in the JSON shows what the lazy RouteTable actually computed.
+//     in the JSON shows that the closed-form RouteTable stores none.
+//     --only LABEL runs just the sweep point with that label.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -116,11 +117,12 @@ std::vector<RunSpec> specs_for(std::size_t nodes, int iterations) {
 
 /// One scale-sweep point: a NIC-based multicast on an `nodes`-endpoint
 /// radix-`radix` Clos, run sequentially so wall clock and RSS are its own.
-RunResult run_scale_point(const BenchOptions& options, std::size_t nodes,
-                          std::size_t radix, std::size_t index) {
+RunResult run_scale_point(const BenchOptions& options, std::string label,
+                          std::size_t nodes, std::size_t radix,
+                          std::size_t index) {
   RunSpec spec;
   spec.experiment = Experiment::kGmMulticast;
-  spec.label = "scale-" + std::to_string(nodes) + "x" + std::to_string(radix);
+  spec.label = std::move(label);
   spec.nodes = nodes;
   spec.wiring = Wiring::kClos;
   spec.switch_radix = radix;
@@ -154,12 +156,12 @@ RunResult run_scale_point(const BenchOptions& options, std::size_t nodes,
 /// One sharded-sweep point.  shards == 1 goes through run_one and thus the
 /// classic sequential engine — the bit-identical baseline the determinism
 /// contract pins — while shards > 1 runs the conservative-PDES fabric.
-RunResult run_sharded_point(const BenchOptions& options, std::size_t nodes,
-                            std::size_t radix, std::size_t shards) {
+RunResult run_sharded_point(const BenchOptions& options, std::string label,
+                            std::size_t nodes, std::size_t radix,
+                            std::size_t shards) {
   RunSpec spec;
   spec.experiment = Experiment::kGmMulticast;
-  spec.label = "pshard-" + std::to_string(nodes) + "x" + std::to_string(radix) +
-               "-s" + std::to_string(shards);
+  spec.label = std::move(label);
   spec.nodes = nodes;
   spec.wiring = Wiring::kClos;
   spec.switch_radix = radix;
@@ -226,7 +228,11 @@ void run_sharded_sweep(const BenchOptions& options,
       continue;
     }
     const std::size_t effective = options.shards_or(shards);
-    RunResult r = run_sharded_point(options, nodes, 16, effective);
+    std::string label = "pshard-" + std::to_string(nodes) + "x16-s" +
+                        std::to_string(effective);
+    if (!options.selected(label)) continue;
+    RunResult r =
+        run_sharded_point(options, std::move(label), nodes, 16, effective);
     std::printf(
         "%11zux16-s%-6zu | %10.0f | %9.1f | %12.0f | %11llu | %9llu | %9llu\n",
         nodes, effective, r.metric("events"), r.metric("wall_ms"),
@@ -246,12 +252,12 @@ void run_sharded_sweep(const BenchOptions& options,
 /// multisend (Fig. 3's star, no forwarding) on the sharded fabric.
 /// shards == 1 dispatches to the classic gm::Cluster coroutine stack, the
 /// bit-identical baseline.
-RunResult run_multisend_point(const BenchOptions& options, std::size_t nodes,
-                              std::size_t radix, std::size_t shards) {
+RunResult run_multisend_point(const BenchOptions& options, std::string label,
+                              std::size_t nodes, std::size_t radix,
+                              std::size_t shards) {
   RunSpec spec;
   spec.experiment = Experiment::kMultisend;
-  spec.label = "msend-" + std::to_string(nodes) + "x" + std::to_string(radix) +
-               "-s" + std::to_string(shards);
+  spec.label = std::move(label);
   spec.nodes = nodes;
   spec.destinations = nodes - 1;
   spec.wiring = Wiring::kClos;
@@ -309,7 +315,11 @@ void run_family_sweep(const BenchOptions& options,
       continue;
     }
     const std::size_t effective = options.shards_or(shards);
-    RunResult r = run_multisend_point(options, nodes, 16, effective);
+    std::string label = "msend-" + std::to_string(nodes) + "x16-s" +
+                        std::to_string(effective);
+    if (!options.selected(label)) continue;
+    RunResult r =
+        run_multisend_point(options, std::move(label), nodes, 16, effective);
     std::printf(
         "%12zux16-s%-10zu | %10.0f | %9.1f | %12.0f | %11llu | %9llu | %9llu\n",
         nodes, effective, r.metric("events"),
@@ -336,7 +346,7 @@ void run_scale_sweep(const BenchOptions& options,
                                   {4096, 32}};
 
   std::printf("\n%12s | %10s | %9s | %12s | %12s | %11s\n", "scale point",
-              "events", "wall ms", "events/s", "routes (lazy)", "peak RSS");
+              "events", "wall ms", "events/s", "routes stored", "peak RSS");
   std::size_t skipped = 0;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto [nodes, radix] = points[i];
@@ -344,7 +354,10 @@ void run_scale_sweep(const BenchOptions& options,
       ++skipped;
       continue;
     }
-    RunResult r = run_scale_point(options, nodes, radix, i);
+    std::string label =
+        "scale-" + std::to_string(nodes) + "x" + std::to_string(radix);
+    if (!options.selected(label)) continue;
+    RunResult r = run_scale_point(options, std::move(label), nodes, radix, i);
     std::printf("%8zux%-3zu | %10.0f | %9.1f | %12.0f | %6llu/%-6.0f | %8.0f KB\n",
                 nodes, radix, r.metric("events"), r.metric("wall_ms"),
                 r.metric("events_per_sec"),
@@ -358,7 +371,8 @@ void run_scale_sweep(const BenchOptions& options,
   }
 }
 
-void run(const BenchOptions& options) {
+/// The unlabelled latency table (phase 1).
+std::vector<RunResult> run_latency_sweep(const BenchOptions& options) {
   print_header(
       "Extension — scalability sweep (Clos fabrics up to 128 nodes)",
       "Paper §7: minimal NIC state, no centralized manager => the benefit "
@@ -401,10 +415,17 @@ void run(const BenchOptions& options) {
       "needs topology-aware trees — construction the paper explicitly\n"
       "scopes out ('our intent is not to study the effects of hardware\n"
       "topology', §5).\n");
+  return results;
+}
+
+void run(const BenchOptions& options) {
+  // --only names one labelled sweep point; the latency table has none.
+  std::vector<RunResult> results;
+  if (options.only.empty()) results = run_latency_sweep(options);
 
   print_header(
       "Extension — scale sweep (128 -> 4096-node Clos, radix 16/32)",
-      "Timing-wheel scheduler + lazy interned routes: memory and events/sec "
+      "Timing-wheel scheduler + closed-form routes: memory and events/sec "
       "at fabric sizes the eager all-pairs table could not reach.");
   run_scale_sweep(options, results);
 
@@ -431,6 +452,7 @@ void run(const BenchOptions& options) {
 
 int main(int argc, char** argv) {
   nicmcast::bench::run(
-      nicmcast::harness::parse_bench_options(argc, argv, "ext_scalability"));
+      nicmcast::harness::parse_bench_options(argc, argv, "ext_scalability",
+                                             /*label_filter=*/true));
   return 0;
 }

@@ -247,7 +247,8 @@ harness::RunResult time_scenario(const char* name, int repeats,
 
 int main(int argc, char** argv) {
   harness::BenchOptions options =
-      harness::parse_bench_options(argc, argv, "sim_microbench");
+      harness::parse_bench_options(argc, argv, "sim_microbench",
+                                   /*label_filter=*/true);
   const int repeats = options.iterations_or(3);
 
   harness::print_header(

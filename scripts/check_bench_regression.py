@@ -31,8 +31,9 @@ checks, but only to scenarios the baseline marks "pinned" (the 128- and
 with --max-nodes so the larger points never run there).  Unpinned points
 are checked only when present, and only for route memory:
 routes_materialized must stay >= 10x below the all-pairs route count
-(full_pairs), the lazy-RouteTable guarantee the 4096-node sweep exists to
-demonstrate.  Missing unpinned points are fine; missing pinned points fail.
+(full_pairs), the route-memory guarantee the 4096-node sweep exists to
+demonstrate (the closed-form RouteTable stores no route on a canned
+wiring, so it reads 0).  Missing unpinned points are fine; missing pinned points fail.
 
 Sharded scenarios (the "pshard-<nodes>x<radix>-s<shards>" and
 "msend-<nodes>x<radix>-s<shards>" labels from the --shards axis): a

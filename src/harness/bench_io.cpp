@@ -10,7 +10,8 @@ namespace nicmcast::harness {
 
 namespace {
 
-[[noreturn]] void usage_and_exit(std::string_view bench_name, int code) {
+[[noreturn]] void usage_and_exit(std::string_view bench_name,
+                                 bool label_filter, int code) {
   std::fprintf(stderr,
                "usage: %.*s [--threads N] [--json PATH] [--iters K] "
                "[--seed S] [--max-nodes M] [--shards P]\n"
@@ -34,61 +35,63 @@ namespace {
                "output)\n"
                "  --perf-counters  sample hardware cache/branch-miss "
                "counters per scenario\n"
-               "                (perf_event_open; zeros when unavailable)\n"
-               "  --only LABEL  run just the scenario/point with this label "
-               "(profiling\n"
-               "                aid; the output is not a regression "
-               "baseline)\n",
+               "                (perf_event_open; zeros when unavailable)\n",
                static_cast<int>(bench_name.size()), bench_name.data());
-  std::exit(code);
-}
-
-std::uint64_t parse_u64(const char* text, std::string_view bench_name) {
-  try {
-    return std::stoull(text);
-  } catch (const std::exception&) {
-    usage_and_exit(bench_name, 2);
+  if (label_filter) {
+    std::fprintf(stderr,
+                 "  --only LABEL  run just the scenario/point with this "
+                 "label (profiling\n"
+                 "                aid; the output is not a regression "
+                 "baseline)\n");
   }
+  std::exit(code);
 }
 
 }  // namespace
 
 BenchOptions parse_bench_options(int argc, char** argv,
-                                 std::string_view bench_name) {
+                                 std::string_view bench_name,
+                                 bool label_filter) {
   BenchOptions options;
+  const auto usage = [&](int code) {
+    usage_and_exit(bench_name, label_filter, code);
+  };
+  const auto parse_u64 = [&](const char* text) -> std::uint64_t {
+    try {
+      return std::stoull(text);
+    } catch (const std::exception&) {
+      usage_and_exit(bench_name, label_filter, 2);
+    }
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage_and_exit(bench_name, 2);
+      if (i + 1 >= argc) usage(2);
       return argv[++i];
     };
     if (arg == "--help" || arg == "-h") {
-      usage_and_exit(bench_name, 0);
+      usage(0);
     } else if (arg == "--threads") {
-      options.threads =
-          static_cast<unsigned>(parse_u64(value(), bench_name));
+      options.threads = static_cast<unsigned>(parse_u64(value()));
       if (options.threads == 0) options.threads = 1;
     } else if (arg == "--json") {
       options.json_path = value();
     } else if (arg == "--iters") {
-      options.iterations =
-          static_cast<int>(parse_u64(value(), bench_name));
+      options.iterations = static_cast<int>(parse_u64(value()));
     } else if (arg == "--seed") {
-      options.base_seed = parse_u64(value(), bench_name);
+      options.base_seed = parse_u64(value());
     } else if (arg == "--max-nodes") {
-      options.max_nodes =
-          static_cast<std::size_t>(parse_u64(value(), bench_name));
+      options.max_nodes = static_cast<std::size_t>(parse_u64(value()));
     } else if (arg == "--shards") {
-      options.shards =
-          static_cast<std::size_t>(parse_u64(value(), bench_name));
+      options.shards = static_cast<std::size_t>(parse_u64(value()));
     } else if (arg == "--perf-counters") {
       options.perf_counters = true;
-    } else if (arg == "--only") {
+    } else if (arg == "--only" && label_filter) {
       options.only = value();
     } else {
       std::fprintf(stderr, "unknown option: %.*s\n",
                    static_cast<int>(arg.size()), arg.data());
-      usage_and_exit(bench_name, 2);
+      usage(2);
     }
   }
   return options;

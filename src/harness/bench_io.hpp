@@ -77,9 +77,10 @@ struct BenchOptions {
   /// around each timed scenario (Linux perf_event_open; reads as zero
   /// off-Linux or when the kernel denies access).
   bool perf_counters = false;
-  /// --only LABEL: run just the scenario/sweep point with this label.
-  /// A profiling/debugging aid — a filtered JSON document is not a valid
-  /// regression baseline (the checker fails on the missing labels).
+  /// --only LABEL: run just the scenario/sweep point with this label
+  /// (sim_microbench, ext_scalability).  A profiling/debugging aid — a
+  /// filtered JSON document is not a valid regression baseline (the
+  /// checker fails on the missing labels).
   std::string only;
 
   /// True when `label` passes the --only filter.
@@ -102,9 +103,11 @@ struct BenchOptions {
 };
 
 /// Parses the shared bench flags.  Prints usage and calls std::exit(2) on
-/// a bad flag, std::exit(0) for --help.
+/// a bad flag, std::exit(0) for --help.  `label_filter`: the bench honours
+/// --only; other benches neither advertise nor accept it.
 [[nodiscard]] BenchOptions parse_bench_options(int argc, char** argv,
-                                               std::string_view bench_name);
+                                               std::string_view bench_name,
+                                               bool label_filter = false);
 
 /// RunnerOptions implied by the parsed bench flags.
 [[nodiscard]] RunnerOptions runner_options(const BenchOptions& options);

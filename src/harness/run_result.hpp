@@ -38,10 +38,12 @@ struct EngineCounters {
   std::uint64_t wheel_cascades = 0;        // coarse buckets cascaded to fine
   std::uint64_t overflow_scheduled = 0;    // schedules beyond coarse horizon
   std::uint64_t overflow_promotions = 0;   // overflow items promoted inward
-  // Lazy route-cache behaviour (net::RouteTable):
-  std::uint64_t routes_materialized = 0;   // (src, dst) pairs computed
-  std::uint64_t route_links_stored = 0;    // LinkIds held across arenas
-  std::uint64_t route_links_shared = 0;    // LinkIds reused via interning
+  // Route memory (net::RouteTable): 0 on the canned wirings, whose routes
+  // are closed form.  route_links_shared has no source and reads 0; it
+  // stays because the bench JSON and perfbench read it.
+  std::uint64_t routes_materialized = 0;   // hand-wired pairs memoized
+  std::uint64_t route_links_stored = 0;    // LinkIds those routes hold
+  std::uint64_t route_links_shared = 0;
   /// Deterministic FNV fold of the executed (time, seq) event order.  For
   /// sharded runs this is the merged per-shard fold (ShardedEngine::
   /// merged_order_hash); shard_order_hashes below carries the full vector.

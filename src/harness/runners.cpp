@@ -103,7 +103,6 @@ void collect_nic_totals(gm::Cluster& cluster, RunResult& result) {
   const net::RouteTableStats& r = cluster.network().route_stats();
   result.engine.routes_materialized = r.routes_materialized;
   result.engine.route_links_stored = r.links_stored;
-  result.engine.route_links_shared = r.links_shared;
 }
 
 }  // namespace

@@ -172,7 +172,6 @@ RunResult run_sharded(const RunSpec& spec) {
   e.overflow_promotions = fr.overflow_promotions;
   e.routes_materialized = fr.routes_materialized;
   e.route_links_stored = fr.route_links_stored;
-  e.route_links_shared = fr.route_links_shared;
   e.event_order_hash = fr.merged_order_hash;
   // Effective count: switch_cut clamps the request to its leaf-block count,
   // so small topologies may run on fewer shards than the spec asked for.

@@ -85,7 +85,7 @@ class Network {
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   [[nodiscard]] const Topology& topology() const { return topology_; }
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
-  /// Lazy route-cache counters (materialized pairs, arena sharing).
+  /// Route-memory counters (0 on the canned wirings' closed form).
   [[nodiscard]] const RouteTableStats& route_stats() const {
     return routes_.stats();
   }
@@ -100,7 +100,7 @@ class Network {
   sim::Simulator& sim_;
   Topology topology_;
   NetworkConfig config_;
-  RouteTable routes_;  // lazy interned per-source route cache
+  RouteTable routes_;
   std::vector<sim::TimePoint> link_free_at_;     // per-link occupancy
   std::vector<PacketSink*> sinks_;
   std::unique_ptr<FaultInjector> faults_;

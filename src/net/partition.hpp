@@ -36,8 +36,9 @@ struct FabricPartition {
   /// `lookahead` — the fabric also posts controller notifications between
   /// arbitrary shard pairs at exactly `now + lookahead`, so no channel may
   /// promise more than the global floor unless a direct link justifies it.
-  /// The async sync mode stamps each channel's EOT nulls with its entry
-  /// (sim::ShardedEngine::set_channel_lookahead).  Every entry is >= the
+  /// ShardedFabric installs each entry as its channel's send window
+  /// (sim::ShardedEngine::set_channel_lookahead), which post() enforces;
+  /// horizons still use the global `lookahead`.  Every entry is >= the
   /// global `lookahead`; the diagonal is unused.
   std::vector<sim::Duration> channel_lookahead;
 

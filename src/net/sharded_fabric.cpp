@@ -224,8 +224,8 @@ void ShardedFabric::continue_segment(std::uint32_t owner, NodeId from,
   const sim::Duration ser = sim::transfer_time(train_wire_bytes(),
                                                options_.net.bandwidth_mbps);
   // Route lookup from the executing shard's own table: recomputing here is
-  // cheaper and safer than shipping RouteViews across threads (the owning
-  // arena mutates under later lookups).
+  // cheaper and safer than shipping RouteViews across threads (a
+  // hand-wired table's memo mutates under later lookups).
   ShardState& st = *shards_[owner];
   const RouteView path = st.routes.route(from, to);
 
@@ -646,7 +646,6 @@ FabricResult ShardedFabric::run() {
     const RouteTableStats& r = st.routes.stats();
     out.routes_materialized += r.routes_materialized;
     out.route_links_stored += r.links_stored;
-    out.route_links_shared += r.links_shared;
 
     const sim::ShardedEngine::ShardStats& ss = engine_->shard_stats(s);
     out.cross_shard_msgs += ss.cross_shard_msgs_sent;

@@ -140,7 +140,6 @@ struct FabricResult {
   std::uint64_t overflow_promotions = 0;
   std::uint64_t routes_materialized = 0;
   std::uint64_t route_links_stored = 0;
-  std::uint64_t route_links_shared = 0;
 
   // Shard-boundary counters (the new observability surface).
   std::uint64_t cross_shard_msgs = 0;
@@ -167,7 +166,7 @@ class ShardedFabric {
  private:
   struct ShardState {
     explicit ShardState(const Topology& topology) : routes(topology) {}
-    RouteTable routes;            // per-shard lazy cache over the topology
+    RouteTable routes;            // per shard: a hand-wired memo mutates
     nic::DescriptorPool pool;     // shard-local descriptor recycling
     nic::NicStats nic;
     std::uint64_t deliveries = 0;

@@ -60,35 +60,43 @@ Route path_to(const Topology& t, const std::vector<LinkId>& via, NodeId from,
 }
 }  // namespace
 
+std::size_t Topology::closed_form_route(
+    NodeId from, NodeId to,
+    std::array<LinkId, kMaxClosedFormHops>& out) const {
+  // Read off the constructors' cable order: cable e is links 2e (first end
+  // -> second end) and 2e+1 (back).  Each route equals the BFS's choice,
+  // which all_routes() checks in the tests.
+  if (wiring_ == Wiring::kBackToBack) {
+    out[0] = static_cast<LinkId>(from);  // cable 0: 0->1 is 0, 1->0 is 1
+    return 1;
+  }
+  // kLeafSpine.  Endpoint cables come first, so e's uplink is 2e and its
+  // downlink 2e+1; leaf l's cable to spine j follows at 2n + 2(l*spines+j).
+  out[0] = static_cast<LinkId>(2 * std::size_t{from});
+  const std::size_t leaf_a = from / per_leaf_;
+  const std::size_t leaf_b = to / per_leaf_;
+  if (leaf_a == leaf_b) {
+    out[1] = static_cast<LinkId>(2 * std::size_t{to} + 1);
+    return 2;
+  }
+  // The BFS expands spine 0 first and reaches every other leaf through it,
+  // so every cross-leaf route climbs through spine 0.
+  const std::size_t spine_cables = 2 * endpoint_count_;
+  out[1] = static_cast<LinkId>(spine_cables + 2 * leaf_a * spines_);
+  out[2] = static_cast<LinkId>(spine_cables + 2 * leaf_b * spines_ + 1);
+  out[3] = static_cast<LinkId>(2 * std::size_t{to} + 1);
+  return 4;
+}
+
 Route Topology::route(NodeId from, NodeId to) const {
   if (from >= endpoint_count_ || to >= endpoint_count_) {
     throw std::out_of_range("route: endpoint id out of range");
   }
   if (from == to) return {};
-
-  // Closed forms, read off the constructors' cable order: cable e is links
-  // 2e (first end -> second end) and 2e+1 (back).  Each equals the BFS's
-  // choice, which all_routes() checks in the tests.
-  switch (wiring_) {
-    case Wiring::kBackToBack:
-      return {static_cast<LinkId>(from)};  // cable 0: 0->1 is 0, 1->0 is 1
-    case Wiring::kLeafSpine: {
-      // Endpoint cables come first, so e's uplink is 2e and its downlink
-      // 2e+1; leaf l's cable to spine j follows at 2n + 2(l*spines + j).
-      const auto up = static_cast<LinkId>(2 * std::size_t{from});
-      const auto down = static_cast<LinkId>(2 * std::size_t{to} + 1);
-      const std::size_t leaf_a = from / per_leaf_;
-      const std::size_t leaf_b = to / per_leaf_;
-      if (leaf_a == leaf_b) return {up, down};
-      // The BFS expands spine 0 first and reaches every other leaf through
-      // it, so every cross-leaf route climbs through spine 0.
-      const std::size_t spine_cables = 2 * endpoint_count_;
-      return {up, static_cast<LinkId>(spine_cables + 2 * leaf_a * spines_),
-              static_cast<LinkId>(spine_cables + 2 * leaf_b * spines_ + 1),
-              down};
-    }
-    case Wiring::kHand:
-      break;
+  if (has_closed_form()) {
+    std::array<LinkId, kMaxClosedFormHops> links{};
+    const std::size_t hops = closed_form_route(from, to, links);
+    return Route(links.data(), links.data() + hops);
   }
   return path_to(*this, bfs_via(*this, out_links(*this), from), from, to);
 }
@@ -115,59 +123,24 @@ RouteView RouteTable::route(NodeId from, NodeId to) {
   if (from >= topo_->endpoint_count() || to >= topo_->endpoint_count()) {
     throw std::out_of_range("route: endpoint id out of range");
   }
-  if (from == to) return {};
-  if (sources_.empty()) sources_.resize(topo_->endpoint_count());
-  auto& sp = sources_[from];
-  if (!sp) {
-    sp = std::make_unique<SourceRoutes>();
-    ++stats_.sources_touched;
+  RouteView view;
+  if (from == to) return view;
+  if (topo_->has_closed_form()) {
+    view.size_ = static_cast<std::uint32_t>(
+        topo_->closed_form_route(from, to, view.inline_));
+    return view;
   }
-  const auto it = sp->by_dst.find(to);
-  if (it != sp->by_dst.end()) return view_of(*sp, it->second);
-  return materialize(from, to, *sp);
-}
-
-RouteView RouteTable::materialize(NodeId from, NodeId to, SourceRoutes& sr) {
-  const Route links = topo_->route(from, to);
-  const std::size_t hops = links.size();
-  // The vertex entered after j links (0 < j < hops) is a switch on the path.
-  const auto vertex_after = [&](std::size_t j) {
-    return topo_->link(links[j - 1]).to;
-  };
-
-  // Longest interned prefix: the deepest on-path switch whose route from
-  // this source is already in the arena.  Every destination behind the same
-  // last switch shares that span.
-  Entry entry;
-  std::size_t shared = 0;  // links covered by the interned head
-  for (std::size_t j = hops; j-- > 1;) {
-    const auto hit = sr.prefix_of.find(vertex_after(j));
-    if (hit != sr.prefix_of.end()) {
-      entry.head = hit->second;
-      shared = j;
-      break;
-    }
+  const std::uint64_t key = (std::uint64_t{from} << 32) | to;
+  auto it = memo_.find(key);
+  if (it == memo_.end()) {
+    // Node-based map: a stored route never moves, so views stay valid.
+    it = memo_.emplace(key, topo_->route(from, to)).first;
+    ++stats_.routes_materialized;
+    stats_.links_stored += it->second.size();
   }
-
-  entry.tail.off = static_cast<std::uint32_t>(sr.arena.size());
-  entry.tail.len = static_cast<std::uint32_t>(hops - shared);
-  for (std::size_t i = shared; i < hops; ++i) sr.arena.push_back(links[i]);
-  stats_.links_stored += hops - shared;
-  stats_.links_shared += shared;
-
-  if (shared == 0) {
-    // The whole route is contiguous: intern every proper prefix ending at a
-    // switch so later destinations behind those switches can share it.
-    for (std::size_t j = 1; j < hops; ++j) {
-      sr.prefix_of.emplace(vertex_after(j),
-                           Span{entry.tail.off, static_cast<std::uint32_t>(j)});
-    }
-  }
-
-  ++stats_.routes_materialized;
-  const auto [pos, inserted] = sr.by_dst.emplace(to, entry);
-  (void)inserted;
-  return view_of(sr, pos->second);
+  view.memo_ = it->second.data();
+  view.size_ = static_cast<std::uint32_t>(it->second.size());
+  return view;
 }
 
 Topology Topology::single_switch(std::size_t n) {

@@ -2,13 +2,14 @@
 //
 // A topology is a graph over two vertex kinds: NIC endpoints (the leaves)
 // and crossbar switches.  Myrinet uses source routing: the sending NIC knows
-// the full path.  We precompute shortest paths (BFS) and hand the per-pair
-// link sequence to the channel model.
+// the full path.  On the canned wirings that path has a closed form; on
+// hand-wired graphs it is the shortest path a BFS finds.  RouteTable hands
+// the per-pair link sequence to the channel model.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -90,9 +91,24 @@ class Topology {
   /// allowed.  Throws if no path exists.
   [[nodiscard]] Route route(NodeId from, NodeId to) const;
 
+  /// The longest closed-form route: up, leaf -> spine, spine -> leaf, down.
+  static constexpr std::size_t kMaxClosedFormHops = 4;
+
+  /// True on the canned wirings, whose routes have a closed form.
+  [[nodiscard]] bool has_closed_form() const {
+    return wiring_ != Wiring::kHand;
+  }
+
+  /// Writes the closed-form route from `from` to `to` into `out` and
+  /// returns its length.  Preconditions: has_closed_form(), both ids in
+  /// range and distinct.
+  std::size_t closed_form_route(
+      NodeId from, NodeId to,
+      std::array<LinkId, kMaxClosedFormHops>& out) const;
+
   /// All-pairs routes between endpoints by BFS, whatever the wiring;
   /// routes[i][j].  O(n^2 * hops) memory — the reference route() is tested
-  /// against; the simulation data path uses the lazy interned RouteTable.
+  /// against; the simulation data path uses RouteTable.
   [[nodiscard]] std::vector<std::vector<Route>> all_routes() const;
 
   // ---- Canned topologies ----
@@ -130,97 +146,52 @@ class Topology {
 
 /// Observability counters for RouteTable (surfaced per run through
 /// harness::EngineCounters so the scale benches can record route memory).
+/// Closed-form routes are computed, not stored, so both read 0 on the
+/// canned wirings.
 struct RouteTableStats {
-  std::uint64_t routes_materialized = 0;  // distinct (src, dst) pairs computed
-  std::uint64_t sources_touched = 0;      // sources with >= 1 route
-  std::uint64_t links_stored = 0;         // LinkIds held across all arenas
-  std::uint64_t links_shared = 0;         // LinkIds reused via interned spans
+  std::uint64_t routes_materialized = 0;  // hand-wired (src, dst) pairs kept
+  std::uint64_t links_stored = 0;         // LinkIds held by those routes
 };
 
-/// A materialized source route: a view over (up to) two contiguous spans of
-/// a RouteTable arena — an interned shared prefix (the path to the last
-/// switch, shared by every destination behind it) plus this destination's
-/// tail links.  Offsets into the owning arena stay valid as the arena grows,
-/// so views remain usable across later route() calls on the same table.
+/// A source route handed out by RouteTable: closed-form routes live inline
+/// (no allocation), hand-wired ones point into the table's memo, which
+/// never moves a stored route.
 class RouteView {
  public:
-  RouteView() = default;
-  [[nodiscard]] std::size_t size() const { return head_len_ + tail_len_; }
-  [[nodiscard]] bool empty() const { return size() == 0; }
-  [[nodiscard]] LinkId operator[](std::size_t i) const {
-    return i < head_len_ ? (*arena_)[head_off_ + i]
-                         : (*arena_)[tail_off_ + (i - head_len_)];
-  }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] LinkId operator[](std::size_t i) const { return data()[i]; }
   /// Materializes a plain Route (tests/debugging; the data path never does).
-  [[nodiscard]] Route to_route() const {
-    Route r;
-    r.reserve(size());
-    for (std::size_t i = 0; i < size(); ++i) r.push_back((*this)[i]);
-    return r;
-  }
+  [[nodiscard]] Route to_route() const { return Route(data(), data() + size_); }
 
  private:
   friend class RouteTable;
-  RouteView(const std::vector<LinkId>* arena, std::uint32_t head_off,
-            std::uint32_t head_len, std::uint32_t tail_off,
-            std::uint32_t tail_len)
-      : arena_(arena),
-        head_off_(head_off),
-        head_len_(head_len),
-        tail_off_(tail_off),
-        tail_len_(tail_len) {}
-  const std::vector<LinkId>* arena_ = nullptr;
-  std::uint32_t head_off_ = 0;
-  std::uint32_t head_len_ = 0;
-  std::uint32_t tail_off_ = 0;
-  std::uint32_t tail_len_ = 0;
+  [[nodiscard]] const LinkId* data() const {
+    return memo_ != nullptr ? memo_ : inline_.data();
+  }
+  std::array<LinkId, Topology::kMaxClosedFormHops> inline_{};
+  const LinkId* memo_ = nullptr;
+  std::uint32_t size_ = 0;
 };
 
-/// Lazy, interned source-route cache replacing the old eagerly-built
-/// all-pairs `vector<vector<Route>>` (O(n^2 * hops) memory and setup time —
-/// the scaling blocker for 4096-node fabrics).
-///
-/// Routes come from Topology::route() on first use of a (src, dst) pair, so
-/// they — and therefore injection timings and the event order — are exactly
-/// the topology's.  Per source, routes live in a compressed arena: the path
-/// to a destination's last switch is interned once (keyed by switch vertex)
-/// and shared by every destination behind it; each additional destination
-/// stores only its tail links.
+/// The simulation's route source.  On the canned wirings a route is a pure
+/// function of (src, dst) — Myrinet's source route, which the sending NIC
+/// knows whole — so route() computes it in closed form into the view, with
+/// no lookup, storage or allocation.  Hand-wired graphs (tests only) memo
+/// each pair's BFS route on first use.  Either way the route is exactly
+/// Topology::route's, and so are injection timings and the event order.
 class RouteTable {
  public:
   explicit RouteTable(const Topology& topology) : topo_(&topology) {}
 
-  /// The (possibly cached) route from `from` to `to`.  Lazy: first use
-  /// materializes, later uses are a hash lookup.  Throws like
-  /// Topology::route on bad ids or unreachable destinations.
+  /// The route from `from` to `to`.  Throws like Topology::route on bad ids
+  /// or unreachable destinations.
   [[nodiscard]] RouteView route(NodeId from, NodeId to);
 
   [[nodiscard]] const RouteTableStats& stats() const { return stats_; }
 
  private:
-  struct Span {
-    std::uint32_t off = 0;
-    std::uint32_t len = 0;
-  };
-  struct Entry {
-    Span head;  // interned shared prefix (may be empty)
-    Span tail;  // this destination's own links
-  };
-  struct SourceRoutes {
-    std::vector<LinkId> arena;
-    std::unordered_map<NodeId, Entry> by_dst;
-    std::unordered_map<VertexId, Span> prefix_of;  // switch -> interned span
-  };
-
-  RouteView view_of(const SourceRoutes& sr, const Entry& e) const {
-    return RouteView(&sr.arena, e.head.off, e.head.len, e.tail.off,
-                     e.tail.len);
-  }
-
-  RouteView materialize(NodeId from, NodeId to, SourceRoutes& sr);
-
   const Topology* topo_;
-  std::vector<std::unique_ptr<SourceRoutes>> sources_;  // lazily allocated
+  std::unordered_map<std::uint64_t, Route> memo_;  // hand-wired graphs only
   RouteTableStats stats_;
 };
 

@@ -461,35 +461,47 @@ net::Network::TxTiming Nic::transmit(DescriptorRef descriptor) {
   return timing;
 }
 
-void Nic::start_replica_chain(DescriptorRef descriptor,
-                              std::vector<net::NodeId> dests,
-                              PrepareFn prepare, OnTransmitFn on_transmit) {
-  struct ChainState {
-    std::vector<net::NodeId> dests;
-    std::size_t index = 0;
-    PrepareFn prepare;
-    OnTransmitFn on_transmit;
-  };
-  auto state = std::make_shared<ChainState>();
-  state->dests = std::move(dests);
-  state->prepare = std::move(prepare);
-  state->on_transmit = std::move(on_transmit);
+void Nic::release_chain(ReplicaChain* chain) {
+  // Drop the hooks' captures (message views, release hooks) now; the dests
+  // keep their capacity for the next chain.
+  chain->prepare = nullptr;
+  chain->on_transmit = nullptr;
+  free_chains_.push_back(chain);
+}
 
-  state->prepare(descriptor->packet, state->dests[0]);
-  if (state->dests.size() > 1) {
-    descriptor->on_tx_complete = [this, state](DescriptorRef d) {
-      ++state->index;
-      if (state->index >= state->dests.size()) return;  // chain done; freed
+void Nic::start_replica_chain(DescriptorRef descriptor,
+                              const std::vector<net::NodeId>& dests,
+                              PrepareFn prepare, OnTransmitFn on_transmit) {
+  ReplicaChain* chain;
+  if (free_chains_.empty()) {
+    chain = chains_.emplace_back(std::make_unique<ReplicaChain>()).get();
+  } else {
+    chain = free_chains_.back();
+    free_chains_.pop_back();
+  }
+  chain->dests.assign(dests.begin(), dests.end());
+  chain->index = 0;
+  chain->prepare = std::move(prepare);
+  chain->on_transmit = std::move(on_transmit);
+
+  chain->prepare(descriptor->packet, chain->dests[0]);
+  if (chain->dests.size() > 1) {
+    descriptor->on_tx_complete = [this, chain](DescriptorRef d) {
+      if (++chain->index == chain->dests.size()) {
+        release_chain(chain);  // the last replica left the wire
+        return;
+      }
       ++stats_.header_rewrites;
-      cpu_.run(config_.header_rewrite, [this, state, d] {
-        state->prepare(d->packet, state->dests[state->index]);
+      cpu_.run(config_.header_rewrite, [this, chain, d] {
+        chain->prepare(d->packet, chain->dests[chain->index]);
         const auto timing = transmit(d);
-        if (state->on_transmit) state->on_transmit(d->packet, timing);
+        if (chain->on_transmit) chain->on_transmit(d->packet, timing);
       });
     };
   }
   const auto timing = transmit(descriptor);
-  if (state->on_transmit) state->on_transmit(descriptor->packet, timing);
+  if (chain->on_transmit) chain->on_transmit(descriptor->packet, timing);
+  if (chain->dests.size() == 1) release_chain(chain);
 }
 
 void Nic::touch_group_record(net::GroupId group_id, SeqNum seq,
@@ -1001,7 +1013,8 @@ bool Nic::ensure_assembly(net::PortId port, AssemblyRef& slot,
   auto assembly = std::make_shared<Assembly>();
   assembly->buffer = *fit;
   buffers.erase(fit);
-  assembly->data.resize(packet.header.msg_length);
+  assembly->length = packet.header.msg_length;
+  assembly->data.reserve(assembly->length);
   assembly->tag = packet.header.tag;
   slot = std::move(assembly);
   return true;
@@ -1018,9 +1031,17 @@ void Nic::accept_payload(net::PortId port, AssemblyRef assembly,
                    event_type,
                    on_rdma_done = std::move(on_rdma_done)]() mutable {
     // The one copy on the receive side: RDMA lands the shared fragment
-    // view into this message's host assembly buffer.
-    std::copy(payload.begin(), payload.end(),
-              assembly->data.begin() + header.msg_offset);
+    // view into this message's host assembly buffer.  The engine is FIFO
+    // and the receive path accepts in sequence, so fragments land in
+    // offset order and each one appends.
+    if (header.msg_offset != assembly->data.size()) {
+      throw std::logic_error(
+          "accept_payload: fragment at offset " +
+          std::to_string(header.msg_offset) + " lands after " +
+          std::to_string(assembly->data.size()) + " assembled bytes");
+    }
+    assembly->data.insert(assembly->data.end(), payload.begin(),
+                          payload.end());
     stats_.payload_bytes_copied += payload.size();
     assembly->received += payload.size();
     if (on_rdma_done) on_rdma_done();
@@ -1611,8 +1632,8 @@ void Nic::op_packet_acked(OpHandle handle) {
 void Nic::deliver_event(net::PortId port, HostEvent event) {
   if (auditor_) auditor_->on_event(*this, port, event);
   sim_.schedule_after(config_.event_delivery,
-                      [this, port, event = std::move(event)] {
-                        ports_.at(port)->events.push(event);
+                      [this, port, event = std::move(event)]() mutable {
+                        ports_.at(port)->events.push(std::move(event));
                       });
 }
 

@@ -201,25 +201,23 @@ class Nic final : public net::PacketSink {
     std::optional<sim::EventId> idle_timer;  // armed when records drain
   };
 
-  // One in-flight incoming message.  `accepted` counts bytes the receive
-  // path has sequenced (claim/boundary decisions happen here); `received`
-  // counts bytes the RDMA engine has landed in host memory.  Back-to-back
-  // messages overlap: message m+1's packets can be accepted while message
-  // m's RDMA is still draining, so each packet's completion must target its
-  // own message's assembly — hence shared ownership.
+  // One in-flight incoming message of `length` bytes.  `accepted` counts
+  // bytes the receive path has sequenced (claim/boundary decisions happen
+  // here); `received` counts bytes the RDMA engine has landed in host
+  // memory, appended to `data` in order.  Back-to-back messages overlap:
+  // message m+1's packets can be accepted while message m's RDMA is still
+  // draining, so each packet's completion must target its own message's
+  // assembly — hence shared ownership.
   struct Assembly {
     RecvBuffer buffer;
     Payload data;
+    std::size_t length = 0;
     std::size_t accepted = 0;
     std::size_t received = 0;
     std::uint32_t tag = 0;
 
-    [[nodiscard]] bool fully_accepted() const {
-      return accepted >= data.size();
-    }
-    [[nodiscard]] bool fully_received() const {
-      return received >= data.size();
-    }
+    [[nodiscard]] bool fully_accepted() const { return accepted >= length; }
+    [[nodiscard]] bool fully_received() const { return received >= length; }
   };
   using AssemblyRef = std::shared_ptr<Assembly>;
 
@@ -354,8 +352,20 @@ class Nic final : public net::PacketSink {
   // the wire far behind the CPU, and retransmission timers must measure
   // from the wire, not from record creation).
   void start_replica_chain(DescriptorRef descriptor,
-                           std::vector<net::NodeId> dests, PrepareFn prepare,
+                           const std::vector<net::NodeId>& dests,
+                           PrepareFn prepare,
                            OnTransmitFn on_transmit = nullptr);
+  // A replica chain in flight: its destinations, the next one to serve and
+  // the per-replica hooks.  Pooled per NIC: a finished chain returns to the
+  // free list with its dests capacity, so steady-state forwarding allocates
+  // no chain state.
+  struct ReplicaChain {
+    std::vector<net::NodeId> dests;
+    std::size_t index = 0;
+    PrepareFn prepare;
+    OnTransmitFn on_transmit;
+  };
+  void release_chain(ReplicaChain* chain);
   void touch_group_record(net::GroupId group_id, SeqNum seq,
                           sim::TimePoint sent_at);
 
@@ -478,6 +488,8 @@ class Nic final : public net::PacketSink {
 
   ProtocolAuditor* auditor_ = nullptr;
   DescriptorPool descriptors_;
+  std::vector<std::unique_ptr<ReplicaChain>> chains_;  // stable storage
+  std::vector<ReplicaChain*> free_chains_;
   NicStats stats_;
 };
 

@@ -18,13 +18,13 @@
 //                   approaches (promotions are counted — see stats).
 //
 // Tie-break preservation: the slot width never splits the ordering.  Every
-// bucket is drained into `ready_`, a vector kept sorted descending by
-// (when, seq), before anything is popped from it, and `ready_` only ever
-// holds items whose fine index is <= the cursor while all wheel/overflow
-// items are strictly beyond it — so the back of `ready_` is always the
-// global (when, seq) minimum.  Pop order is therefore bit-identical to the
-// old binary heap's, while a pop is a comparison-free pop_back() and a
-// same-timestamp run sits contiguous at the tail in reverse-seq order.
+// bucket is drained into the ready run — `ready_[head_..]`, kept sorted
+// ascending by (when, seq) — before anything is popped from it, and the run
+// only ever holds items whose fine index is <= the cursor while all
+// wheel/overflow items are strictly beyond it, so `ready_[head_]` is always
+// the global (when, seq) minimum.  Pop order is therefore bit-identical to
+// the old binary heap's, while a pop is a comparison-free head advance and
+// a same-timestamp run sits contiguous at the head in seq order.
 //
 // The cursor only moves over slots verified empty (or drained), and items
 // scheduled at-or-behind the cursor (the raw queue allows scheduling into
@@ -73,29 +73,27 @@ class TimingWheel {
   /// never discards or reorders an item, so it is peek-safe.
   [[nodiscard]] const WheelItem& top() {
     ensure_ready();
-    return ready_.back();
+    return ready_[head_];
   }
 
   /// Removes the item top() returned.  Precondition: size() > 0.
   void pop_top() {
     ensure_ready();
-    ready_.pop_back();
-    --size_;
+    advance_head(1);
   }
 
   /// Pops the earliest item into `single` and returns 1 when it is alone
   /// at its timestamp; otherwise extracts the whole same-timestamp run
   /// into `out` (appended in ascending seq order) and returns its length.
-  /// The aloneness test is O(1) and exact: `ready_` is sorted, so an item
-  /// sharing the minimum's timestamp would sit directly before it.
+  /// The aloneness test is O(1) and exact: the ready run is sorted, so an
+  /// item sharing the minimum's timestamp would sit directly after it.
   /// Precondition: size() > 0.
   std::size_t pop_top_or_run(WheelItem& single, std::vector<WheelItem>& out) {
     ensure_ready();
-    const std::size_t n = ready_.size();
-    if (n < 2 || ready_[n - 2].when != ready_[n - 1].when) {
-      single = ready_.back();
-      ready_.pop_back();
-      --size_;
+    if (ready_.size() - head_ < 2 ||
+        ready_[head_ + 1].when != ready_[head_].when) {
+      single = ready_[head_];
+      advance_head(1);
       return 1;
     }
     return pop_run(out);
@@ -105,24 +103,20 @@ class TimingWheel {
   /// them to `out` in ascending seq order — exactly the order N pop_top()
   /// calls would have produced.  Precondition: size() > 0.
   ///
-  /// Once ensure_ready() has the earliest item in `ready_`, every stored
-  /// item with that timestamp is in `ready_` too: equal timestamps share a
-  /// fine slot, a drained slot empties completely, and later same-tick
-  /// pushes land at-or-behind the cursor and join `ready_` directly.  So
-  /// one extraction really is the whole tick — the descending-sorted tail,
-  /// copied out back-to-front.
+  /// Once ensure_ready() has the earliest item in the ready run, every
+  /// stored item with that timestamp is in the run too: equal timestamps
+  /// share a fine slot, a drained slot empties completely, and later
+  /// same-tick pushes land at-or-behind the cursor and join the run
+  /// directly.  So one extraction really is the whole tick — the run's
+  /// ascending head, copied out in order.
   std::size_t pop_run(std::vector<WheelItem>& out) {
     ensure_ready();
-    const TimePoint when = ready_.back().when;
-    std::size_t b = ready_.size();
-    while (b > 0 && ready_[b - 1].when == when) --b;
-    const std::size_t run = ready_.size() - b;
-    out.reserve(out.size() + run);
-    for (std::size_t i = ready_.size(); i-- > b;) {
-      out.push_back(ready_[i]);
-    }
-    ready_.resize(b);
-    size_ -= run;
+    const auto first = ready_.begin() + static_cast<std::ptrdiff_t>(head_);
+    auto last = first;
+    while (last != ready_.end() && last->when == first->when) ++last;
+    const auto run = static_cast<std::size_t>(last - first);
+    out.insert(out.end(), first, last);
+    advance_head(run);
     return run;
   }
 
@@ -142,11 +136,17 @@ class TimingWheel {
 
  private:
   /// "a fires after b": the greater-than comparator that makes
-  /// std::push_heap/pop_heap and std::priority_queue behave as min-heaps.
+  /// std::priority_queue behave as a min-heap.
   struct Later {
     bool operator()(const WheelItem& a, const WheelItem& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
+    }
+  };
+  /// "a fires before b": the ready run's sort order.
+  struct Earlier {
+    bool operator()(const WheelItem& a, const WheelItem& b) const {
+      return Later{}(b, a);
     }
   };
 
@@ -172,13 +172,26 @@ class TimingWheel {
     return fine_idx >> kFineSlotBits;
   }
 
-  /// Sorted insert (descending by Later): rare relative to pops — only
-  /// items scheduled at-or-behind the cursor and boundary-cascade items
-  /// land here one at a time; bucket drains go through drain_fine_slot's
-  /// bulk append + sort instead.
+  /// Sorted insert into the ready run: items scheduled at-or-behind the
+  /// cursor and boundary-cascade items land here one at a time; bucket
+  /// drains go through drain_fine_slot's bulk append instead.  The common
+  /// push — the current tick, newest seq — sorts last, so it appends.
   void push_ready(const WheelItem& item) {
-    ready_.insert(std::upper_bound(ready_.begin(), ready_.end(), item, Later{}),
+    const auto first = ready_.begin() + static_cast<std::ptrdiff_t>(head_);
+    ready_.insert(std::upper_bound(first, ready_.end(), item, Earlier{}),
                   item);
+  }
+
+  /// Pops `n` items off the head of the ready run.  An emptied run resets
+  /// to the front of the vector, so the popped prefix holds at most the
+  /// items that passed through one drained slot.
+  void advance_head(std::size_t n) {
+    head_ += n;
+    size_ -= n;
+    if (head_ == ready_.size()) {
+      ready_.clear();
+      head_ = 0;
+    }
   }
 
   [[nodiscard]] std::uint32_t alloc_node(const WheelItem& item) {
@@ -233,37 +246,36 @@ class TimingWheel {
     ++overflow_scheduled_;
   }
 
-  /// Drains the fine bucket at absolute index `f` (== cursor_) into ready_
-  /// and clears its occupancy bit.  The whole bucket is appended first and
-  /// sorted once — O(k log k) instead of k sorted inserts at O(k) moves
-  /// each — then merged with whatever ready_ already held (cross_boundary
-  /// can cascade items into ready_ before draining the boundary slot).
+  /// Drains the fine bucket at absolute index `f` (== cursor_) into the
+  /// ready run and clears its occupancy bit.  The whole bucket is appended
+  /// first and sorted once — O(k log k) instead of k sorted inserts at O(k)
+  /// moves each — then merged with whatever the run already held
+  /// (cross_boundary can cascade items into it before draining the
+  /// boundary slot).
   void drain_fine_slot(std::uint64_t f) {
     const std::uint64_t slot = f & (kFineSlots - 1);
     std::uint32_t idx = fine_heads_[slot];
     fine_heads_[slot] = kNil;
     fine_bits_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
     const std::size_t old = ready_.size();
-    // LIFO bucket + monotonically increasing seq means a slot that only
-    // ever saw in-order pushes walks out already descending — the common
-    // case by far — so sortedness is tracked during the append and the
-    // sort skipped when it held.  Cascades and re-pushes break it; those
-    // buckets pay the O(k log k) sort.
-    bool sorted = true;
     while (idx != kNil) {
       const std::uint32_t next = pool_[idx].next;
-      const WheelItem& item = pool_[idx].item;
-      if (ready_.size() > old && Later{}(item, ready_.back())) sorted = false;
-      ready_.push_back(item);
+      ready_.push_back(pool_[idx].item);
       free_node(idx);
       --fine_count_;
       idx = next;
     }
+    const auto first = ready_.begin() + static_cast<std::ptrdiff_t>(head_);
     const auto mid = ready_.begin() + static_cast<std::ptrdiff_t>(old);
-    if (!sorted) std::sort(mid, ready_.end(), Later{});
-    if (old != 0) {
-      std::inplace_merge(ready_.begin(), mid, ready_.end(), Later{});
+    // LIFO bucket + monotonically increasing seq means a slot that only
+    // ever saw in-order pushes walks out exactly descending — the common
+    // case by far — so a reverse sorts it.  Cascades and re-pushes break
+    // that; those buckets pay the O(k log k) sort.
+    std::reverse(mid, ready_.end());
+    if (!std::is_sorted(mid, ready_.end(), Earlier{})) {
+      std::sort(mid, ready_.end(), Earlier{});
     }
+    if (first != mid) std::inplace_merge(first, mid, ready_.end(), Earlier{});
   }
 
   /// First occupied fine slot with absolute index in [from, bound), or
@@ -397,7 +409,10 @@ class TimingWheel {
   // countr_zero word operations instead of per-bucket empty() probes.
   std::array<std::uint64_t, kFineSlots / 64> fine_bits_{};
   std::array<std::uint64_t, kCoarseSlots / 64> coarse_bits_{};
-  std::vector<WheelItem> ready_;  // sorted descending by (when, seq)
+  // The ready run is ready_[head_..], sorted ascending by (when, seq);
+  // ready_[..head_] is the popped prefix, dropped when the run empties.
+  std::vector<WheelItem> ready_;
+  std::size_t head_ = 0;
   std::priority_queue<WheelItem, std::vector<WheelItem>, Later> overflow_;
   std::uint64_t cursor_ = 0;  // fine index of the slot drained into ready_
   std::size_t fine_count_ = 0;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,31 @@ TEST(Lossless, MpiBcastAndMultisendNeverRetransmitATailPacket) {
                                Wiring::kSingleSwitch, 4097, Algo::kNicBased);
   multisend.destinations = 15;
   expect_no_recovery(multisend);
+}
+
+// perfbench's clos-scale multisend point at 1 shard (perfbench/workloads.cpp,
+// clos_scale): 1,023 destinations on a radix-16 Clos, a seeded size just
+// under 4 KB, 1 warm-up + 4 iterations.  Size and run seed are derived
+// from the workload seed exactly as perfbench derives them.
+RunSpec clos_scale_multisend(std::uint64_t workload_seed) {
+  RunSpec spec = lossless(Experiment::kMultisend, 1024, Wiring::kClos, 0,
+                          Algo::kNicBased);
+  const std::size_t nominal = 4096;
+  spec.message_bytes =
+      nominal - derive_seed(workload_seed, 1'000'001) % (nominal / 64 + 1);
+  spec.destinations = 1023;
+  spec.switch_radix = 16;
+  spec.warmup = 1;
+  spec.iterations = 4;
+  spec.seed = derive_seed(workload_seed, 1);
+  return spec;
+}
+
+TEST(Lossless, MultisendToAThousandDestinationsNeverRetransmits) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("workload seed " + std::to_string(seed));
+    expect_no_recovery(clos_scale_multisend(seed));
+  }
 }
 
 TEST(Lossless, OneByteTailCostsAboutOnePacketNotATimeout) {

@@ -2,9 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <queue>
 #include <set>
 #include <vector>
+
+// Counts every global allocation in this test binary, so a test can assert
+// that a code path allocates nothing.
+namespace {
+std::uint64_t g_allocations = 0;
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// All out of line, so GCC does not pair the malloc() and free() inside
+// them with the new- and delete-expressions that call them.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace nicmcast::net {
 namespace {
@@ -244,10 +265,29 @@ TEST(Topology, CableAddedToCannedWiringFallsBackToBfs) {
 
 // ---- RouteTable -----------------------------------------------------------
 
+/// Three switches in a ring, two endpoints on each, plus a direct
+/// endpoint-to-endpoint cable: no closed form applies.
+Topology hand_wired_ring() {
+  Topology t(6);
+  const VertexId s0 = t.add_switch();
+  const VertexId s1 = t.add_switch();
+  const VertexId s2 = t.add_switch();
+  const VertexId sw[] = {s0, s0, s1, s1, s2, s2};
+  for (VertexId e = 0; e < 6; ++e) t.add_cable(e, sw[e]);
+  t.add_cable(s0, s1);
+  t.add_cable(s1, s2);
+  t.add_cable(s2, s0);
+  t.add_cable(0, 5);
+  return t;
+}
+
 TEST(RouteTable, MatchesEagerRoutesOnEveryTopology) {
+  Topology shortcut = Topology::clos(32, 8);
+  shortcut.add_cable(0, 31);
   const Topology topos[] = {Topology::back_to_back(),
                             Topology::single_switch(16),
-                            Topology::clos(32, 8), Topology::clos(40, 16)};
+                            Topology::clos(32, 8), Topology::clos(40, 16),
+                            hand_wired_ring(), shortcut};
   for (const Topology& t : topos) {
     RouteTable table(t);
     const auto eager = t.all_routes();
@@ -263,60 +303,45 @@ TEST(RouteTable, MatchesEagerRoutesOnEveryTopology) {
   }
 }
 
-TEST(RouteTable, LazyPerSourceFill) {
-  const Topology t = Topology::clos(32, 8);
-  RouteTable table(t);
-  EXPECT_EQ(table.stats().routes_materialized, 0u);
-  EXPECT_EQ(table.stats().sources_touched, 0u);
-
-  (void)table.route(0, 31);
-  EXPECT_EQ(table.stats().routes_materialized, 1u);
-  EXPECT_EQ(table.stats().sources_touched, 1u);
-
-  // Repeat lookups are cache hits, not recomputations.
-  (void)table.route(0, 31);
-  EXPECT_EQ(table.stats().routes_materialized, 1u);
-
-  (void)table.route(5, 2);
-  EXPECT_EQ(table.stats().routes_materialized, 2u);
-  EXPECT_EQ(table.stats().sources_touched, 2u);
-
-  // Self routes are free.
-  EXPECT_TRUE(table.route(7, 7).empty());
-  EXPECT_EQ(table.stats().routes_materialized, 2u);
-}
-
-TEST(RouteTable, InternsSharedPrefixSpans) {
-  // Destinations behind the same leaf switch share the source's path to
-  // that leaf; the second route must reuse the interned span instead of
-  // storing its full hop sequence again.
-  const Topology t = Topology::clos(32, 8);  // 4 endpoints per leaf
-  RouteTable table(t);
-  const RouteView a = table.route(0, 28);  // cross-leaf: 4 links
-  ASSERT_EQ(a.size(), 4u);
-  const std::uint64_t stored_after_first = table.stats().links_stored;
-  EXPECT_EQ(table.stats().links_shared, 0u);
-
-  const RouteView b = table.route(0, 29);  // same destination leaf
-  ASSERT_EQ(b.size(), 4u);
-  EXPECT_GT(table.stats().links_shared, 0u);
-  // The second route stored strictly fewer new links than its length.
-  EXPECT_LT(table.stats().links_stored - stored_after_first, b.size());
-  // Shared prefix: identical links up to the destination leaf.
-  EXPECT_EQ(a[0], b[0]);
-  EXPECT_EQ(a[1], b[1]);
-  EXPECT_NE(a[3], b[3]);  // different final hop
-}
-
-TEST(RouteTable, ViewsStayValidAsArenaGrows) {
-  const Topology t = Topology::single_switch(32);
-  RouteTable table(t);
-  const RouteView first = table.route(0, 1);
-  const Route snapshot = first.to_route();
-  for (NodeId j = 2; j < 32; ++j) {
-    (void)table.route(0, j);  // grows the source arena
+TEST(RouteTable, CannedWiringRoutesDoNotAllocate) {
+  const Topology topos[] = {Topology::back_to_back(),
+                            Topology::single_switch(16),
+                            Topology::clos(512, 16)};
+  for (const Topology& t : topos) {
+    RouteTable table(t);
+    const auto n = static_cast<NodeId>(t.endpoint_count());
+    const NodeId step = n > 64 ? 7 : 1;  // sampled pairs on the big fabric
+    std::uint64_t hops = 0;
+    const std::uint64_t before = g_allocations;
+    for (NodeId i = 0; i < n; i += step) {
+      for (NodeId j = 0; j < n; ++j) hops += table.route(i, j).size();
+    }
+    EXPECT_EQ(g_allocations, before) << "n=" << n;
+    EXPECT_GT(hops, 0u);
+    EXPECT_EQ(table.stats().routes_materialized, 0u);
+    EXPECT_EQ(table.stats().links_stored, 0u);
   }
-  EXPECT_EQ(first.to_route(), snapshot);  // offsets, not pointers
+  // The counter is live: a hand-wired graph's first route allocates.
+  const Topology ring = hand_wired_ring();
+  RouteTable memo(ring);
+  const std::uint64_t before = g_allocations;
+  (void)memo.route(0, 3);
+  EXPECT_GT(g_allocations, before);
+}
+
+TEST(RouteTable, HandWiredRoutesAreMemoizedOnceAndViewsStayValid) {
+  const Topology t = hand_wired_ring();
+  RouteTable table(t);
+  const RouteView first = table.route(0, 3);
+  const Route snapshot = first.to_route();
+  EXPECT_EQ(table.stats().routes_materialized, 1u);
+  for (NodeId i = 0; i < 6; ++i) {
+    for (NodeId j = 0; j < 6; ++j) (void)table.route(i, j);  // grows the memo
+  }
+  EXPECT_EQ(first.to_route(), snapshot);
+  EXPECT_EQ(table.stats().routes_materialized, 30u);  // self routes are free
+  (void)table.route(0, 3);
+  EXPECT_EQ(table.stats().routes_materialized, 30u);
 }
 
 // Regression for the pre-widening NodeId wrap: with a 16-bit id,

@@ -407,9 +407,9 @@ SoakResult run_soak(const SoakSpec& spec) {
   result.event_order_hash = cluster.simulator().event_order_hash();
   result.routes_materialized =
       cluster.network().route_stats().routes_materialized;
-  // The workload is tree- and pair-structured, so the lazy RouteTable must
-  // never end up computing the full all-pairs table; if it does, something
-  // reintroduced an eager all_routes()-style walk.
+  // The workload is tree- and pair-structured, so the RouteTable must never
+  // end up storing the full all-pairs table (canned wirings store none); if
+  // it does, something reintroduced an eager all_routes()-style walk.
   const std::uint64_t full_pairs =
       static_cast<std::uint64_t>(spec.nodes) * (spec.nodes - 1);
   if (spec.nodes >= 8 && result.routes_materialized >= full_pairs) {

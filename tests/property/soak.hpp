@@ -72,8 +72,8 @@ struct SoakResult {
   /// Deterministic hash of the executed (time, seq) event order: equal
   /// seeds must yield equal hashes, before and after engine changes.
   std::uint64_t event_order_hash = 0;
-  /// (src, dst) routes the lazy RouteTable actually computed; a full
-  /// all-pairs materialization here is itself an invariant violation.
+  /// (src, dst) routes the RouteTable stored (0 on the canned wirings); a
+  /// full all-pairs materialization here is itself an invariant violation.
   std::uint64_t routes_materialized = 0;
 };
 

@@ -171,6 +171,51 @@ TEST(TimingWheel, RandomizedMatchesSortedReference) {
   }
 }
 
+TEST(TimingWheel, SameTickPushStormMatchesSortedReference) {
+  // Simulator::spawn of thousands of programs schedules each at the current
+  // tick with the newest seq.  Such a push lands at the back of the ready
+  // run; a few items later in the same 64 ns slot sit behind it, and pops
+  // interleave.  The pop order must still be exactly (when, seq).
+  TimingWheel wheel;
+  std::vector<WheelItem> reference;
+  std::vector<WheelItem> popped;
+  std::uint64_t seq = 0;
+  const auto push = [&](std::int64_t when) {
+    const WheelItem item{TimePoint{when}, seq++, 0};
+    wheel.push(item);
+    reference.push_back(item);
+  };
+  const std::int64_t now = kFineNs * 10 + 3;
+  push(now);
+  ASSERT_EQ(wheel.top().when, TimePoint{now});  // cursor now on this slot
+  push(now + 40);
+  push(now + 20);
+  for (int i = 0; i < 100'000; ++i) {
+    push(now);
+    if (i % 10'000 == 0) push(now + 1 + i / 10'000);  // later, same slot
+    if (i % 4 == 0) {
+      popped.push_back(wheel.top());
+      wheel.pop_top();
+    }
+  }
+  push(now + kFineNs);  // the next slot
+  while (wheel.size() > 0) {
+    popped.push_back(wheel.top());
+    wheel.pop_top();
+  }
+
+  ASSERT_EQ(popped.size(), reference.size());
+  std::sort(reference.begin(), reference.end(),
+            [](const WheelItem& a, const WheelItem& b) {
+              if (a.when != b.when) return a.when < b.when;
+              return a.seq < b.seq;
+            });
+  for (std::size_t i = 0; i < popped.size(); ++i) {
+    ASSERT_EQ(popped[i].when, reference[i].when) << "index " << i;
+    ASSERT_EQ(popped[i].seq, reference[i].seq) << "index " << i;
+  }
+}
+
 // ---- Cancellation through the owning EventQueue ---------------------------
 //
 // The wheel itself never cancels; the queue skips stale items on pop.  The
